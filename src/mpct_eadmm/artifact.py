@@ -17,6 +17,8 @@ from .offline import OfflineData, WarmstartGain
 
 MAGIC = b"MPCT-EADMM\x00"
 FORMAT_VERSION = 1
+# Stage bound vectors of OfflineData, in artifact order.
+BOUND_FIELDS = ("z_lb", "z_ub", "z_lb_s", "z_ub_s", "u_only_lb", "u_only_ub")
 
 
 def _pack_array(arr):
@@ -48,17 +50,8 @@ def save_offline(offline, path):
     ]
     arrays.extend(a.ravel() for a in offline.alphas)
     arrays.extend(_triu_pack(b) for b in offline.beta_hats)
-    arrays.extend(
-        [
-            offline.z_lb,
-            offline.z_ub,
-            offline.z_lb_s,
-            offline.z_ub_s,
-            offline.u_only_lb,
-            offline.u_only_ub,
-            np.array([offline.rho_upper_bound, float(offline.rho_exceeds_bound)]),
-        ]
-    )
+    arrays.extend(getattr(offline, name) for name in BOUND_FIELDS)
+    arrays.append(np.array([offline.rho_upper_bound, float(offline.rho_exceeds_bound)]))
     parts.extend(_pack_array(a) for a in arrays)
     if offline.warmstart is not None:
         ws = offline.warmstart
@@ -114,12 +107,7 @@ def load_offline(path):
     alphas = [rd.floats(n * n).reshape(n, n) for _ in range(N - 1)]
     tri = n * (n + 1) // 2
     beta_hats = [_triu_unpack(rd.floats(tri), n) for _ in range(N)]
-    z_lb = rd.floats(nm)
-    z_ub = rd.floats(nm)
-    z_lb_s = rd.floats(nm)
-    z_ub_s = rd.floats(nm)
-    u_only_lb = rd.floats(nm)
-    u_only_ub = rd.floats(nm)
+    bounds = {name: rd.floats(nm) for name in BOUND_FIELDS}
     bound, exceeds = rd.floats(2)
     has_ws = rd.take(1)
     warmstart = None
@@ -144,12 +132,7 @@ def load_offline(path):
         M2=M2,
         alphas=alphas,
         beta_hats=beta_hats,
-        z_lb=z_lb,
-        z_ub=z_ub,
-        z_lb_s=z_lb_s,
-        z_ub_s=z_ub_s,
-        u_only_lb=u_only_lb,
-        u_only_ub=u_only_ub,
+        **bounds,
         rho_upper_bound=float(bound),
         rho_exceeds_bound=bool(exceeds),
         warmstart=warmstart,

@@ -14,6 +14,7 @@ import os
 import statistics
 import sys
 import time
+from dataclasses import replace
 
 import numpy as np
 
@@ -21,10 +22,10 @@ from . import dense
 from .artifact import load_offline, save_offline
 from .compare import interleaved_max_deviation, sample_states
 from .config import load_config
-from .errors import ConfigError, MpctError, NumericalBreakdown
+from .errors import ArtifactError, ConfigError, MpctError, NumericalBreakdown
 from .offline import build_offline
 from .pendulum import closed_loop, scale_state
-from .problem import MpctConfig, build_rho, validate_problem
+from .problem import build_rho, validate_problem
 from .solver import eadmm_solve
 
 log = logging.getLogger("mpct")
@@ -49,9 +50,16 @@ def _fmt(value):
 
 
 def _get_offline(args, cfg):
-    if getattr(args, "artifact", None):
-        return load_offline(args.artifact)
-    return build_offline(cfg.problem)
+    if not getattr(args, "artifact", None):
+        return build_offline(cfg.problem)
+    offline = load_offline(args.artifact)
+    p = cfg.problem
+    if (offline.n, offline.m, offline.N) != (p.n, p.m, p.N):
+        raise ArtifactError(
+            f"artifact has (n, m, N) = {(offline.n, offline.m, offline.N)}, "
+            f"the config {(p.n, p.m, p.N)}"
+        )
+    return offline
 
 
 def _parse_floats(text):
@@ -213,13 +221,7 @@ def cmd_bench(args):
         writer = csv.writer(fh)
         writer.writerow(["N", "scalar_count", "iterations", "median_time_us", "worst_time_us"])
         for N in horizons:
-            config = MpctConfig(
-                N=N,
-                epsilon=base.config.epsilon,
-                max_iter=base.config.max_iter,
-                big_bound=base.config.big_bound,
-                exit_test=base.config.exit_test,
-            )
+            config = replace(base.config, N=N)
             rho = base.rho
             if rho.rho_hat.shape[1] != N + 1:
                 # Rebuild the default boost pattern for the new horizon.

@@ -8,14 +8,7 @@ iterates, which is the package's central correctness check.
 import numpy as np
 
 from . import dense
-from .solver import (
-    cold_start,
-    compute_residual,
-    solve_qp1,
-    solve_qp2,
-    solve_qp3,
-    update_duals,
-)
+from .solver import cold_start, eadmm_step, linear_terms
 
 # Bound magnitudes at or above this are stand-ins for "unconstrained" and get
 # capped when sampling random states.
@@ -48,16 +41,10 @@ def interleaved_max_deviation(problem, offline, x, r, iterations=50):
     dprob = dense.assemble_dense(problem.model, problem.costs, problem.rho, N, x, r)
     dit = dense.dense_iterate_zero(dprob)
     state = cold_start(n, m, N)
-    ts_r = np.concatenate([problem.costs.T @ r[:n], problem.costs.S @ r[n:]])
-    AB = np.hstack([problem.model.A, problem.model.B])
-    rho = problem.rho
+    ts_r, AB = linear_terms(problem, r)
     worst = 0.0
     for _ in range(iterations):
-        solve_qp1(state, offline, rho, x)
-        solve_qp2(state, offline, rho, ts_r)
-        solve_qp3(state, offline, rho, AB)
-        compute_residual(state, offline, x)
-        update_duals(state, rho)
+        eadmm_step(state, offline, problem.rho, x, ts_r, AB)
         dit = dense.dense_eadmm_step(dprob, dit)
         dev = max(
             float(np.abs(state.z1.flatten(order="F") - dit.z1).max()),

@@ -6,12 +6,12 @@ a field-precise :class:`ConfigError`.
 """
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from .errors import ConfigError, MpctError
-from .pendulum import PENDULUM_SCALE, PENDULUM_TS, PendulumParams, SimConfig
+from .pendulum import PENDULUM_COSTS, PENDULUM_MODEL, PENDULUM_RHO, PendulumParams, SimConfig
 from .problem import (
     CostWeights,
     MpctConfig,
@@ -36,6 +36,9 @@ class RunConfig:
     output: str = None
 
 
+_MISSING = object()
+
+
 def _get(doc, path, default=None, required=False):
     node = doc
     for part in path.split("."):
@@ -45,6 +48,28 @@ def _get(doc, path, default=None, required=False):
             return default
         node = node[part]
     return node
+
+
+def _settings(cls, doc, prefix="", renames=None):
+    """A ``cls`` instance from the document keys present, its defaults for the rest.
+
+    Each value is cast to its field's type and checked by ``cls`` on its own,
+    so an invalid one raises a :class:`ConfigError` naming its key.
+    """
+    kwargs = {}
+    for f in fields(cls):
+        path = prefix + (renames or {}).get(f.name, f.name)
+        value = _get(doc, path, default=_MISSING)
+        if value is _MISSING:
+            continue
+        try:
+            kwargs[f.name] = f.type(value)
+            cls(**{f.name: kwargs[f.name]})
+        except ConfigError:
+            raise
+        except (MpctError, TypeError, ValueError) as exc:
+            raise ConfigError(path, str(exc)) from None
+    return cls(**kwargs)
 
 
 def _array(doc, path, required=True, default=None):
@@ -105,32 +130,14 @@ def parse_config(doc):
         raise
     except MpctError as exc:
         raise ConfigError("costs", str(exc)) from None
-    try:
-        mpct_config = MpctConfig(
-            N=_get(doc, "horizon", required=True),
-            epsilon=float(_get(doc, "epsilon", default=1e-4)),
-            max_iter=int(_get(doc, "max_iter", default=4000)),
-            big_bound=float(_get(doc, "big_bound", default=1e10)),
-            exit_test=_get(doc, "exit_test", default="primal_dual"),
-        )
-    except ConfigError:
-        raise
-    except (MpctError, TypeError, ValueError) as exc:
-        raise ConfigError("horizon", str(exc)) from None
+    _get(doc, "horizon", required=True)  # no default for the document
+    mpct_config = _settings(MpctConfig, doc, renames={"N": "horizon"})
     rho = _parse_rho(doc, model, mpct_config)
     try:
         problem = validate_problem(model, costs, mpct_config, rho)
     except MpctError as exc:
         raise ConfigError("(problem)", str(exc)) from None
-    try:
-        sim = SimConfig(
-            Ts=float(_get(doc, "sim.Ts", default=PENDULUM_TS)),
-            steps=int(_get(doc, "sim.steps", default=250)),
-            substeps=int(_get(doc, "sim.substeps", default=10)),
-            scale=float(_get(doc, "sim.scale", default=PENDULUM_SCALE)),
-        )
-    except (TypeError, ValueError) as exc:
-        raise ConfigError("sim", str(exc)) from None
+    sim = _settings(SimConfig, doc, prefix="sim.")
     pend_doc = _get(doc, "sim.pendulum", default={})
     try:
         pendulum = PendulumParams(**pend_doc)
@@ -177,36 +184,23 @@ def load_config(path):
 def default_pendulum_config():
     """JSON document for the benchmark pendulum scenario.
 
-    It keeps the paper's primal-only exit test, the rule whose iteration
-    counts and timings the benchmark reproduces. Its solves are feasible to
-    ``epsilon`` but mostly not certified optimal; drop ``exit_test`` to get
-    the default primal-and-dual test at several times the iterations.
+    It is written out from the scenario constants of :mod:`.pendulum` and the
+    solver and simulation defaults, and keeps the paper's primal-only exit
+    test, the rule whose iteration counts and timings the benchmark
+    reproduces. Its solves are feasible to ``epsilon`` but mostly not
+    certified optimal; drop ``exit_test`` to get the default primal-and-dual
+    test at several times the iterations.
     """
+    solver = MpctConfig(exit_test="primal")
     return {
-        "model": {
-            "A": [
-                [1.013109, 0.020087, 0.0],
-                [1.31371, 1.013109, 0.0],
-                [0.0, 0.0, 1.0],
-            ],
-            "B": [[-0.002919], [-0.292577], [0.02]],
-            "x_lb": [-0.39269908169872414, -1e10, -3.0],
-            "x_ub": [0.39269908169872414, 1e10, 3.0],
-            "u_lb": [-4.5],
-            "u_ub": [4.5],
-        },
-        "costs": {
-            "Q_diag": [5.0, 5.0, 5.0],
-            "R_diag": [0.025],
-            "T": [[1000.0, 0.0, 0.0], [0.0, 1000.0, 0.0], [0.0, 0.0, 1000.0]],
-            "S": [[0.125]],
-        },
-        "horizon": 12,
-        "rho": {"base": 20.0, "boost": 1000.0},
-        "epsilon": 1e-4,
-        "max_iter": 4000,
-        "exit_test": "primal",
-        "sim": {"Ts": 0.02, "steps": 250, "substeps": 10, "scale": 20.0, "x0": [0.0, 0.0, 20.0]},
+        "model": {key: value.tolist() for key, value in PENDULUM_MODEL.items()},
+        "costs": {key: value.tolist() for key, value in PENDULUM_COSTS.items()},
+        "horizon": solver.N,
+        "rho": {"base": PENDULUM_RHO[0], "boost": PENDULUM_RHO[1]},
+        "epsilon": solver.epsilon,
+        "max_iter": solver.max_iter,
+        "exit_test": solver.exit_test,
+        "sim": {**vars(SimConfig()), "x0": [0.0, 0.0, 20.0]},
         "reference": [0.0, 0.0, 0.0, 0.0],
         "warmstart": False,
         "seed": 0,

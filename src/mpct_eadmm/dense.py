@@ -47,9 +47,12 @@ class DenseIterate:
     lam: np.ndarray
 
 
-def assemble_dense(model, costs, rho, N, x, r):
-    """Build the explicit splitting matrices for a given state and reference."""
-    n, m = model.n, model.m
+def splitting_matrices(n, m, N):
+    """Coupling matrices A1, A2, A3 of the three-block splitting.
+
+    Rows: the initial-state constraint, the N+1 congruence constraints
+    z1_j = z2 + z3_j, and the terminal equality z1_N = z2.
+    """
     nm = n + m
     nz = (N + 1) * nm
     m_z = n + (N + 1) * nm + nm
@@ -65,7 +68,16 @@ def assemble_dense(model, costs, rho, N, x, r):
         A3[row : row + nm, col : col + nm] = np.eye(nm)
     A1[m_z - nm :, nz - nm :] = -np.eye(nm)
     A2[m_z - nm :] = np.eye(nm)
-    b = np.zeros(m_z)
+    return A1, A2, A3
+
+
+def assemble_dense(model, costs, rho, N, x, r):
+    """Build the explicit splitting matrices for a given state and reference."""
+    n, m = model.n, model.m
+    nm = n + m
+    nz = (N + 1) * nm
+    A1, A2, A3 = splitting_matrices(n, m, N)
+    b = np.zeros(A1.shape[0])
     b[:n] = np.asarray(x, dtype=float).ravel()
     rho_full = np.concatenate([rho.rho0, rho.rho_hat.flatten(order="F"), rho.rho_s])
     TS = np.zeros((nm, nm))
@@ -166,16 +178,6 @@ def pack_duals(lam_cols, n, m, N):
     return np.concatenate(
         [lam_cols[:n, 0], lam_cols[:, 1 : N + 2].flatten(order="F"), lam_cols[:, N + 2]]
     )
-
-
-def unpack_duals(lam_flat, n, m, N):
-    """Flat dual vector -> column-block storage (initial column zero padded)."""
-    nm = n + m
-    cols = np.zeros((nm, N + 3))
-    cols[:n, 0] = lam_flat[:n]
-    cols[:, 1 : N + 2] = lam_flat[n : n + (N + 1) * nm].reshape(nm, N + 1, order="F")
-    cols[:, N + 2] = lam_flat[n + (N + 1) * nm :]
-    return cols
 
 
 def _stationarity_residual(g, G):

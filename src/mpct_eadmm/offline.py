@@ -12,6 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .dense import splitting_matrices
 from .errors import FactorizationFailure, RankDeficientG2, SupportViolation
 
 # Singular values below RANK_RTOL * sigma_max are treated as zero.
@@ -140,44 +141,21 @@ class WarmstartGain:
     P_lambda_head: np.ndarray
     support_residual: float
     singular_kkt: bool = False
-    P_full: np.ndarray = None  # retained for oracle cross-checks
 
 
-def _build_constraint_matrices(model, N):
-    """Dense A1, A2, A3 of the three-block splitting (used offline only)."""
-    n, m = model.n, model.m
-    nm = n + m
-    nz = (N + 1) * nm
-    m_z = n + (N + 1) * nm + nm
-    A1 = np.zeros((m_z, nz))
-    A2 = np.zeros((m_z, nm))
-    A3 = np.zeros((m_z, nz))
-    A1[:n, :n] = np.eye(n)
-    for j in range(N + 1):
-        r = n + j * nm
-        A1[r : r + nm, j * nm : (j + 1) * nm] = -np.eye(nm)
-        A2[r : r + nm] = np.eye(nm)
-        A3[r : r + nm, j * nm : (j + 1) * nm] = np.eye(nm)
-    A1[-nm:, -nm:] = -np.eye(nm)
-    A2[-nm:] = np.eye(nm)
-    return A1, A2, A3
-
-
-def compute_warmstart_gain(model, costs, rho, N, support_tol=1e-9):
-    """Sensitivity of the optimizer (and duals) to the measured state.
+def warmstart_sensitivity(model, costs, rho, N):
+    """Sensitivity of the optimizer and duals to the measured state.
 
     Solves the first-order optimality system of the equality-constrained
-    problem for the derivative with respect to the initial state, checks that
-    the rows outside the declared support are numerically zero, and returns
-    the reduced rows. The trajectory block is discarded unconditionally since
-    the online iteration overwrites it before use.
+    problem for the derivative with respect to the initial state. Returns the
+    full gain, rows stacked as (z1, z2, z3, lambda) of the dense splitting,
+    and whether the system was singular (the minimum-norm solution is taken).
     """
     n, m = model.n, model.m
     nm = n + m
     nz = (N + 1) * nm
-    A1, A2, A3 = _build_constraint_matrices(model, N)
-    m_z = A1.shape[0]
-    Az = np.hstack([A1, A2, A3])
+    Az = np.hstack(splitting_matrices(n, m, N))
+    m_z = Az.shape[0]
     nw = 2 * nz + nm + m_z
     Hz = np.zeros((2 * nz + nm, 2 * nz + nm))
     Hz[nz : nz + n, nz : nz + n] = costs.T
@@ -190,19 +168,28 @@ def compute_warmstart_gain(model, costs, rho, N, support_tol=1e-9):
     K[2 * nz + nm :, : 2 * nz + nm] = Az
     rhs = np.zeros((nw, n))
     rhs[2 * nz + nm : 2 * nz + nm + n] = np.eye(n)
-    # Rank-tolerant solve; the minimum-norm solution is taken when singular.
     Y, _, rank, _ = np.linalg.lstsq(K, rhs, rcond=RANK_RTOL)
-    singular = rank < nw
-    P_full = -Y
-    z2_rows = P_full[nz : nz + nm]
-    z3 = P_full[nz + nm : 2 * nz + nm]
-    lam = P_full[2 * nz + nm :]
-    off_support = 0.0
-    if z3.shape[0] > n:
-        off_support = max(off_support, float(np.abs(z3[n:]).max()))
-    if lam.shape[0] > 2 * n:
-        off_support = max(off_support, float(np.abs(lam[2 * n :]).max()))
-    p_max = float(np.abs(P_full).max())
+    return -Y, rank < nw
+
+
+def compute_warmstart_gain(model, costs, rho, N, support_tol=1e-9):
+    """Reduced rows of :func:`warmstart_sensitivity`, support checked.
+
+    Checks that the rows outside the declared support are numerically zero
+    and returns the reduced rows. The trajectory block is discarded
+    unconditionally since the online iteration overwrites it before use.
+    """
+    n, m = model.n, model.m
+    nm = n + m
+    nz = (N + 1) * nm
+    P, singular = warmstart_sensitivity(model, costs, rho, N)
+    z2_rows = P[nz : nz + nm]
+    z3 = P[nz + nm : 2 * nz + nm]
+    lam = P[2 * nz + nm :]
+    off_support = float(
+        max(np.abs(z3[n:]).max(initial=0.0), np.abs(lam[2 * n :]).max(initial=0.0))
+    )
+    p_max = float(np.abs(P).max())
     if off_support > support_tol * max(1.0, p_max):
         raise SupportViolation(
             f"warmstart gain support residual {off_support:.3e} exceeds "
@@ -214,7 +201,6 @@ def compute_warmstart_gain(model, costs, rho, N, support_tol=1e-9):
         P_lambda_head=lam[: 2 * n].copy(),
         support_residual=off_support,
         singular_kkt=singular,
-        P_full=P_full,
     )
 
 
@@ -262,7 +248,7 @@ class OfflineData:
 
 def build_offline(problem, with_warmstart=True):
     """Run all offline precomputation for a validated problem."""
-    model, costs, rho, config = problem.model, problem.costs, problem.rho, problem.config
+    model, costs, rho = problem.model, problem.costs, problem.rho
     n, m, N = problem.n, problem.m, problem.N
     H1_inv = compute_h1_inverse(rho)
     H3_inv = compute_h3_inverse(costs, rho)
@@ -272,8 +258,10 @@ def build_offline(problem, with_warmstart=True):
     z_ub = np.concatenate([model.x_ub, model.u_ub])
     z_lb_s = np.concatenate([model.x_lb + model.eps_x, model.u_lb + model.eps_u])
     z_ub_s = np.concatenate([model.x_ub - model.eps_x, model.u_ub - model.eps_u])
-    u_only_lb = np.concatenate([np.full(n, -config.big_bound), model.u_lb])
-    u_only_ub = np.concatenate([np.full(n, config.big_bound), model.u_ub])
+    # The state part of stage 0 is free: it is pinned by the initial-state
+    # penalty, not by a box.
+    u_only_lb = np.concatenate([np.full(n, -np.inf), model.u_lb])
+    u_only_ub = np.concatenate([np.full(n, np.inf), model.u_ub])
     bound = compute_rho_upper_bound(costs)
     rho_max = max(rho.rho0.max(), rho.rho_s.max(), rho.rho_hat.max())
     gain = compute_warmstart_gain(model, costs, rho, N) if with_warmstart else None

@@ -29,6 +29,26 @@ PENDULUM_A = np.array(
 PENDULUM_B = np.array([[-0.002919], [-0.292577], [0.02]])
 PENDULUM_TS = 0.02
 PENDULUM_SCALE = 20.0
+# The benchmark controller's model and weights, as keyword arguments of
+# SystemModel and CostWeights. Boxes in controller units: |phi| <= pi/8,
+# |theta_dot| <= 60 rad/s and |theta_ddot| <= 90 rad/s^2 after scaling; the
+# body angular rate is unconstrained, with 1e10 standing in for its bound.
+PENDULUM_MODEL = {
+    "A": PENDULUM_A,
+    "B": PENDULUM_B,
+    "x_lb": np.array([-np.pi / 8, -1e10, -60.0 / PENDULUM_SCALE]),
+    "x_ub": np.array([np.pi / 8, 1e10, 60.0 / PENDULUM_SCALE]),
+    "u_lb": np.array([-90.0 / PENDULUM_SCALE]),
+    "u_ub": np.array([90.0 / PENDULUM_SCALE]),
+}
+PENDULUM_COSTS = {
+    "Q_diag": np.full(3, 5.0),
+    "R_diag": np.array([0.025]),
+    "T": 1000.0 * np.eye(3),
+    "S": np.array([[0.125]]),
+}
+# Penalties (base, boosted) of build_rho.
+PENDULUM_RHO = (20.0, 1000.0)
 
 
 @dataclass
@@ -126,32 +146,13 @@ def pendulum_problem(
     N=12,
     epsilon=1e-4,
     max_iter=4000,
-    rho_base=20.0,
-    rho_boosted=1000.0,
-    big_bound=1e10,
+    rho_base=PENDULUM_RHO[0],
+    rho_boosted=PENDULUM_RHO[1],
 ):
-    """Benchmark controller: scaled pendulum model with the standard weights.
-
-    Constraints (controller units): |phi| <= pi/8, |theta_dot| <= 60/scale,
-    |theta_ddot| <= 90/scale; the body angular rate is unconstrained (stand-in
-    bound of big_bound).
-    """
-    scale = PENDULUM_SCALE
-    model = SystemModel(
-        A=PENDULUM_A,
-        B=PENDULUM_B,
-        x_lb=np.array([-np.pi / 8, -big_bound, -60.0 / scale]),
-        x_ub=np.array([np.pi / 8, big_bound, 60.0 / scale]),
-        u_lb=np.array([-90.0 / scale]),
-        u_ub=np.array([90.0 / scale]),
-    )
-    costs = CostWeights(
-        Q_diag=np.full(3, 5.0),
-        R_diag=np.array([0.025]),
-        T=1000.0 * np.eye(3),
-        S=np.array([[0.125]]),
-    )
-    config = MpctConfig(N=N, epsilon=epsilon, max_iter=max_iter, big_bound=big_bound)
+    """Benchmark controller: the scaled pendulum model with the standard weights."""
+    model = SystemModel(**PENDULUM_MODEL)
+    costs = CostWeights(**PENDULUM_COSTS)
+    config = MpctConfig(N=N, epsilon=epsilon, max_iter=max_iter)
     rho = build_rho(model, config, rho_base, rho_boosted)
     return validate_problem(model, costs, config, rho)
 

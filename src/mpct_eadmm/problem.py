@@ -20,14 +20,14 @@ from .errors import (
 
 
 def _as_vector(v, size, name):
-    arr = np.atleast_1d(np.asarray(v, dtype=float)).ravel()
+    arr = np.atleast_1d(np.array(v, dtype=float)).ravel()
     if arr.shape != (size,):
         raise DimensionMismatch(f"{name} must have shape ({size},), got {arr.shape}")
     return arr
 
 
 def _as_matrix(v, shape, name):
-    arr = np.atleast_2d(np.asarray(v, dtype=float))
+    arr = np.atleast_2d(np.array(v, dtype=float))
     if arr.shape != shape:
         raise DimensionMismatch(f"{name} must have shape {shape}, got {arr.shape}")
     return arr
@@ -38,7 +38,9 @@ class SystemModel:
     """Discrete LTI model x+ = A x + B u with box bounds and tightening margins.
 
     ``eps_x`` / ``eps_u`` shrink the state/input boxes at the terminal stage so
-    that the artificial reference stays strictly inside the constraints.
+    that the artificial reference stays strictly inside the constraints. The
+    arrays are copied, as are those of :class:`CostWeights`, so a problem
+    shares no memory with the constants it was built from.
     """
 
     A: np.ndarray
@@ -51,11 +53,11 @@ class SystemModel:
     eps_u: np.ndarray = None
 
     def __post_init__(self):
-        self.A = np.atleast_2d(np.asarray(self.A, dtype=float))
+        self.A = np.atleast_2d(np.array(self.A, dtype=float))
         n = self.A.shape[0]
         if self.A.shape != (n, n):
             raise DimensionMismatch(f"A must be square, got {self.A.shape}")
-        self.B = np.asarray(self.B, dtype=float).reshape(n, -1)
+        self.B = np.array(self.B, dtype=float).reshape(n, -1)
         m = self.B.shape[1]
         self.x_lb = _as_vector(self.x_lb, n, "x_lb")
         self.x_ub = _as_vector(self.x_ub, n, "x_ub")
@@ -102,8 +104,8 @@ class CostWeights:
     S: np.ndarray
 
     def __post_init__(self):
-        self.Q_diag = np.atleast_1d(np.asarray(self.Q_diag, dtype=float)).ravel()
-        self.R_diag = np.atleast_1d(np.asarray(self.R_diag, dtype=float)).ravel()
+        self.Q_diag = np.atleast_1d(np.array(self.Q_diag, dtype=float)).ravel()
+        self.R_diag = np.atleast_1d(np.array(self.R_diag, dtype=float)).ravel()
         n, m = self.Q_diag.size, self.R_diag.size
         self.T = _as_matrix(self.T, (n, n), "T")
         self.S = _as_matrix(self.S, (m, m), "S")
@@ -163,19 +165,16 @@ class MpctConfig:
     N: int = 12
     epsilon: float = 1e-4
     max_iter: int = 4000
-    big_bound: float = 1e10
     exit_test: str = EXIT_TESTS[0]
 
     def __post_init__(self):
         self.N = int(self.N)
         if self.N < 2:
             raise HorizonTooShort("prediction horizon must satisfy N >= 2")
-        if self.epsilon <= 0:
-            raise NonPositiveWeight("epsilon must be > 0")
+        if not 0 < self.epsilon < np.inf:
+            raise NonPositiveWeight("epsilon must be finite and > 0")
         if self.max_iter < 1:
             raise NonPositiveWeight("max_iter must be >= 1")
-        if self.big_bound <= 0:
-            raise NonPositiveWeight("big_bound must be > 0")
         if self.exit_test not in EXIT_TESTS:
             raise ConfigError(
                 "exit_test", f"expected one of {', '.join(EXIT_TESTS)}; got {self.exit_test!r}"

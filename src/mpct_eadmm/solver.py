@@ -30,9 +30,6 @@ class SolverState:
     z3: np.ndarray
     lam: np.ndarray
     gamma: np.ndarray
-    mu: np.ndarray
-    q2: np.ndarray
-    q3: np.ndarray
     iterations: int = 0
 
 
@@ -72,9 +69,6 @@ def cold_start(n, m, N):
         z3=np.zeros((nm, N + 1)),
         lam=np.zeros((nm, N + 3)),
         gamma=np.zeros((nm, N + 3)),
-        mu=np.zeros((n, N)),
-        q2=np.zeros(nm),
-        q3=np.zeros((nm, N + 1)),
     )
 
 
@@ -116,7 +110,6 @@ def solve_qp2(state, offline, rho, ts_r):
         + lam[:, N + 2]
     )
     q2 += np.sum(rh[:, :N] * (z3[:, :N] - z1[:, :N]) + lam[:, 1 : N + 1], axis=1)
-    state.q2 = q2
     state.z2 = offline.M2 @ q2
     return state.z2
 
@@ -156,15 +149,12 @@ def solve_qp3(state, offline, rho, AB):
     n, N = offline.n, offline.N
     z1, z2, lam = state.z1, state.z2, state.lam
     q3 = rho.rho_hat * (z2[:, None] - z1) + lam[:, 1 : N + 2]
-    state.q3 = q3
     t = offline.H3_inv * q3
     c = t[:n, 1:] - AB @ t[:, :N]
     mu = banded_forward_backward(offline.alphas, offline.beta_hats, c)
-    state.mu = mu
-    term = q3.copy()
-    term[:, :N] += AB.T @ mu
-    term[:n, 1:] -= mu
-    state.z3 = -offline.H3_inv * term
+    q3[:, :N] += AB.T @ mu
+    q3[:n, 1:] -= mu
+    state.z3 = -offline.H3_inv * q3
     return state.z3
 
 
@@ -209,6 +199,29 @@ def update_duals(state, rho):
     return state.lam
 
 
+def linear_terms(problem, r):
+    """Per-solve constants of the iteration: diag(T, S) r and [A B]."""
+    n = problem.n
+    ts_r = np.concatenate([problem.costs.T @ r[:n], problem.costs.S @ r[n:]])
+    AB = np.hstack([problem.model.A, problem.model.B])
+    return ts_r, AB
+
+
+def eadmm_step(state, offline, rho, x, ts_r, AB):
+    """One extended-ADMM iteration in place; returns the primal residual.
+
+    The stages are called through module globals, so replacing one at module
+    level (as a tracer does) takes effect here.
+    """
+    solve_qp1(state, offline, rho, x)
+    solve_qp2(state, offline, rho, ts_r)
+    solve_qp3(state, offline, rho, AB)
+    _, res = compute_residual(state, offline, x)
+    update_duals(state, rho)
+    state.iterations += 1
+    return res
+
+
 def eadmm_solve(offline, problem, x, r, initial=None):
     """Run the extended-ADMM iteration until the exit test passes or the cap.
 
@@ -221,35 +234,40 @@ def eadmm_solve(offline, problem, x, r, initial=None):
     ``epsilon`` at exit.
 
     Returns a :class:`SolveResult`; non-convergence is reported through the
-    ``converged`` flag, not an exception. A non-finite residual aborts with
+    ``converged`` flag, not an exception. Offline data, an initial state or
+    vectors whose dimensions do not match the problem raise
+    :class:`DimensionMismatch`; a non-finite residual aborts with
     :class:`NumericalBreakdown`.
     """
-    n, m, N = offline.n, offline.m, offline.N
+    n, m, N = problem.n, problem.m, problem.N
+    nm = n + m
+    if (offline.n, offline.m, offline.N) != (n, m, N):
+        raise DimensionMismatch(
+            f"offline data has (n, m, N) = {(offline.n, offline.m, offline.N)}, "
+            f"the problem {(n, m, N)}"
+        )
     rho = problem.rho
     eps = problem.config.epsilon
     primal_only = problem.config.exit_test == "primal"
     max_iter = problem.config.max_iter
     x = np.asarray(x, dtype=float).ravel()
     r = np.asarray(r, dtype=float).ravel()
-    if x.shape != (n,) or r.shape != (n + m,):
+    if x.shape != (n,) or r.shape != (nm,):
         raise DimensionMismatch(
-            f"x must have shape ({n},) and r shape ({n + m},); got {x.shape}, {r.shape}"
+            f"x must have shape ({n},) and r shape ({nm},); got {x.shape}, {r.shape}"
         )
     state = initial if initial is not None else cold_start(n, m, N)
-    ts_r = np.concatenate([problem.costs.T @ r[:n], problem.costs.S @ r[n:]])
-    AB = np.hstack([problem.model.A, problem.model.B])
+    shapes = [a.shape for a in (state.z1, state.z2, state.z3, state.lam, state.gamma)]
+    if shapes != [(nm, N + 1), (nm,), (nm, N + 1), (nm, N + 3), (nm, N + 3)]:
+        raise DimensionMismatch(f"initial state shapes {shapes} do not fit {(n, m, N)}")
+    ts_r, AB = linear_terms(problem, r)
     converged = False
     res = np.inf
     dual = float("nan")
     for _ in range(max_iter):
-        # solve_qp2/solve_qp3 replace z2 and z3, so these stay the old iterates.
+        # eadmm_step replaces z2 and z3, so these stay the old iterates.
         z2_prev, z3_prev = state.z2, state.z3
-        solve_qp1(state, offline, rho, x)
-        solve_qp2(state, offline, rho, ts_r)
-        solve_qp3(state, offline, rho, AB)
-        _, res = compute_residual(state, offline, x)
-        update_duals(state, rho)
-        state.iterations += 1
+        res = eadmm_step(state, offline, rho, x, ts_r, AB)
         if not np.isfinite(res):
             raise NumericalBreakdown(
                 f"non-finite residual at iteration {state.iterations}"

@@ -110,6 +110,16 @@ def test_simulate_with_artifact(tmp_path, capsys):
     assert len(read_csv(out)) == 4
 
 
+def test_solve_rejects_artifact_of_another_horizon(tmp_path, config_path, capsys):
+    short = write_config(tmp_path, lambda d: d.update(horizon=5), name="short.json")
+    art = str(tmp_path / "short.mpct")
+    assert cli.main(["precompute", "--config", short, "--out", art]) == 0
+    capsys.readouterr()
+    assert cli.main(["solve", "--config", config_path, "--artifact", art]) == 1
+    err = capsys.readouterr().err
+    assert "artifact has (n, m, N) = (3, 1, 5)" in err and "Traceback" not in err
+
+
 def test_compare(config_path, capsys):
     code = cli.main(
         ["compare", "--config", config_path, "--trials", "3", "--iterations", "30", "--seed", "1"]

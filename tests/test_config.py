@@ -7,6 +7,7 @@ import pytest
 
 from mpct_eadmm.config import default_pendulum_config, load_config, parse_config
 from mpct_eadmm.errors import ConfigError
+from mpct_eadmm.pendulum import PENDULUM_COSTS, PENDULUM_MODEL, pendulum_problem
 
 
 def write_config(tmp_path, doc, name="cfg.json"):
@@ -115,3 +116,51 @@ def test_exit_test_field():
         with pytest.raises(ConfigError) as exc:
             parse_config(doc)
         assert exc.value.field == "exit_test"
+
+
+def test_solver_fields_report_their_key():
+    for key, bad in (
+        ("epsilon", -1),
+        ("epsilon", "abc"),
+        ("epsilon", float("nan")),
+        ("epsilon", float("inf")),
+        ("max_iter", 0),
+        ("max_iter", "many"),
+        ("horizon", 1),
+    ):
+        doc = default_pendulum_config()
+        doc[key] = bad
+        with pytest.raises(ConfigError) as exc:
+            parse_config(doc)
+        assert exc.value.field == key, (key, bad)
+    doc = default_pendulum_config()
+    doc["sim"]["substeps"] = 0
+    with pytest.raises(ConfigError) as exc:
+        parse_config(doc)
+    assert exc.value.field == "sim.substeps"
+
+
+def test_default_document_matches_pendulum_problem():
+    """The benchmark document and pendulum_problem() share one scenario source."""
+    doc = json.loads(json.dumps(default_pendulum_config()))
+    doc["big_bound"] = 1.0  # a retired key, ignored
+    parsed = parse_config(doc).problem
+    built = pendulum_problem()
+    for part, names in (
+        ("model", ("A", "B", "x_lb", "x_ub", "u_lb", "u_ub", "eps_x", "eps_u")),
+        ("costs", ("Q_diag", "R_diag", "T", "S")),
+        ("rho", ("rho0", "rho_s", "rho_hat")),
+    ):
+        for name in names:
+            a = getattr(getattr(parsed, part), name)
+            b = getattr(getattr(built, part), name)
+            assert a.shape == b.shape and np.array_equal(a, b), (part, name)
+    assert (parsed.N, parsed.config.epsilon, parsed.config.max_iter) == (
+        built.N,
+        built.config.epsilon,
+        built.config.max_iter,
+    )
+    # The problem copies the constants, so changing it cannot change them.
+    for part, constants in ((built.model, PENDULUM_MODEL), (built.costs, PENDULUM_COSTS)):
+        for name, value in constants.items():
+            assert not np.shares_memory(getattr(part, name), value), name

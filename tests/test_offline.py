@@ -13,6 +13,7 @@ from mpct_eadmm.offline import (
     compute_m2,
     compute_rho_upper_bound,
     factor_block_tridiagonal,
+    warmstart_sensitivity,
 )
 from mpct_eadmm.problem import CostWeights, PenaltyParams, SystemModel
 from mpct_eadmm.solver import warmstart_predict
@@ -178,7 +179,8 @@ def test_rho_exceeds_bound_flag(problem, offline):
 
 def test_warmstart_gain_support(problem, offline):
     gain = offline.warmstart
-    p_max = abs(gain.P_full).max()
+    P_full, _ = warmstart_sensitivity(problem.model, problem.costs, problem.rho, problem.N)
+    p_max = abs(P_full).max()
     assert gain.support_residual <= 1e-9 * max(1.0, p_max)
     assert not gain.singular_kkt
 
@@ -188,12 +190,12 @@ def test_warmstart_reduced_matches_full(problem, offline):
     n, m, N = problem.n, problem.m, problem.N
     nm, nz = n + m, (N + 1) * (n + m)
     gain = offline.warmstart
+    full, _ = warmstart_sensitivity(problem.model, problem.costs, problem.rho, N)
     rng = np.random.default_rng(5)
     prev = _random_result(rng, n, m, N)
     for _ in range(100):
         dx = rng.standard_normal(n)
         state = warmstart_predict(prev, gain, np.zeros(n), dx)
-        full = gain.P_full
         z2_full = prev.z2 - full[nz : nz + nm] @ dx
         z3_full = prev.z3.flatten(order="F") - full[nz + nm : 2 * nz + nm] @ dx
         lam_full = dense.pack_duals(prev.lam, n, m, N) - full[2 * nz + nm :] @ dx

@@ -19,6 +19,7 @@ from mpct_eadmm.solver import (
     update_duals,
 )
 from mpct_eadmm.offline import build_offline, factor_block_tridiagonal
+from mpct_eadmm.pendulum import pendulum_problem
 from mpct_eadmm.problem import (
     CostWeights,
     MpctConfig,
@@ -46,7 +47,7 @@ def dense_problem(problem, x, r):
 
 def test_cold_start_all_zero():
     state = cold_start(3, 1, 12)
-    for arr in (state.z1, state.z2, state.z3, state.lam, state.gamma, state.mu):
+    for arr in (state.z1, state.z2, state.z3, state.lam, state.gamma):
         assert not arr.any()
     assert state.iterations == 0
 
@@ -120,8 +121,9 @@ def test_qp3_zero_inputs(problem, offline):
     state = cold_start(problem.n, problem.m, problem.N)
     AB = np.hstack([problem.model.A, problem.model.B])
     solve_qp3(state, offline, problem.rho, AB)
+    # With q3 = 0 the state part of z3 is -H3_inv times the Schur multiplier,
+    # so z3 = 0 also says the banded solve returned zero.
     assert not state.z3.any()
-    assert not state.mu.any()
 
 
 def test_qp3_matches_dense_kkt(problem, offline):
@@ -302,6 +304,14 @@ def test_eadmm_solve_dimension_checks(problem, offline):
         eadmm_solve(offline, problem, np.zeros(2), np.zeros(4))
     with pytest.raises(DimensionMismatch):
         eadmm_solve(offline, problem, np.zeros(3), np.zeros(3))
+
+
+def test_eadmm_solve_rejects_mismatched_offline_and_initial(problem, offline):
+    short = build_offline(pendulum_problem(N=5), with_warmstart=False)
+    with pytest.raises(DimensionMismatch, match="offline"):
+        eadmm_solve(short, problem, np.zeros(3), np.zeros(4))
+    with pytest.raises(DimensionMismatch, match="initial"):
+        eadmm_solve(offline, problem, np.zeros(3), np.zeros(4), initial=cold_start(3, 1, 5))
 
 
 def test_eadmm_solve_numerical_breakdown(problem, offline):
