@@ -19,7 +19,6 @@ from .errors import (
     RankDeficientG2,
     SingularConfiguration,
     SingularKkt,
-    SupportViolation,
 )
 from .offline import (
     OfflineData,
@@ -72,7 +71,6 @@ __all__ = [
     "SingularKkt",
     "SolveResult",
     "SolverState",
-    "SupportViolation",
     "SystemModel",
     "ValidatedProblem",
     "WarmstartGain",

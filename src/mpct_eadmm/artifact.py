@@ -1,9 +1,11 @@
 """Binary serialization of the offline solver data.
 
 Little-endian layout: magic string, format version, dimension header, the
-float64 payload arrays in declaration order (beta_hat blocks packed as upper
-triangles), an optional warmstart-gain section, and a 64-bit truncated
-SHA-256 checksum over everything before it. The format is bit-exact so that
+SHA-256 fingerprint of the problem the data was built for
+(:func:`offline.problem_fingerprint`), the float64 payload arrays in
+declaration order (beta_hat blocks packed as upper triangles), an optional
+warmstart-gain section, and a 64-bit truncated SHA-256 checksum over
+everything before it. The format is bit-exact so that
 repeated precomputation of the same configuration yields identical files.
 """
 
@@ -16,7 +18,8 @@ from .errors import ArtifactError
 from .offline import OfflineData, WarmstartGain
 
 MAGIC = b"MPCT-EADMM\x00"
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
+FINGERPRINT_BYTES = 32
 # Stage bound vectors of OfflineData, in artifact order.
 BOUND_FIELDS = ("z_lb", "z_ub", "z_lb_s", "z_ub_s", "u_only_lb", "u_only_ub")
 
@@ -42,7 +45,7 @@ def _triu_unpack(flat, n):
 def save_offline(offline, path):
     """Write an OfflineData bundle to a binary artifact file."""
     n, m, N = offline.n, offline.m, offline.N
-    parts = [MAGIC, struct.pack("<I", FORMAT_VERSION), struct.pack("<III", n, m, N)]
+    parts = [MAGIC, struct.pack("<IIII", FORMAT_VERSION, n, m, N), offline.fingerprint]
     arrays = [
         offline.H1_inv.flatten(order="F"),
         offline.H3_inv.flatten(order="F"),
@@ -59,7 +62,6 @@ def save_offline(offline, path):
         parts.append(_pack_array(ws.P_z2.ravel()))
         parts.append(_pack_array(ws.P_z3_head.ravel()))
         parts.append(_pack_array(ws.P_lambda_head.ravel()))
-        parts.append(_pack_array(np.array([ws.support_residual, float(ws.singular_kkt)])))
     else:
         parts.append(b"\x00")
     payload = b"".join(parts)
@@ -100,6 +102,7 @@ def load_offline(path):
     if version != FORMAT_VERSION:
         raise ArtifactError(f"unsupported format version {version}")
     n, m, N = struct.unpack("<III", rd.take(12))
+    fingerprint = rd.take(FINGERPRINT_BYTES)
     nm = n + m
     H1_inv = rd.floats(nm * (N + 1)).reshape(nm, N + 1, order="F")
     H3_inv = rd.floats(nm * (N + 1)).reshape(nm, N + 1, order="F")
@@ -115,14 +118,7 @@ def load_offline(path):
         P_z2 = rd.floats(nm * n).reshape(nm, n)
         P_z3_head = rd.floats(n * n).reshape(n, n)
         P_lambda_head = rd.floats(2 * n * n).reshape(2 * n, n)
-        support_residual, singular = rd.floats(2)
-        warmstart = WarmstartGain(
-            P_z2=P_z2,
-            P_z3_head=P_z3_head,
-            P_lambda_head=P_lambda_head,
-            support_residual=float(support_residual),
-            singular_kkt=bool(singular),
-        )
+        warmstart = WarmstartGain(P_z2=P_z2, P_z3_head=P_z3_head, P_lambda_head=P_lambda_head)
     return OfflineData(
         n=n,
         m=m,
@@ -135,5 +131,6 @@ def load_offline(path):
         **bounds,
         rho_upper_bound=float(bound),
         rho_exceeds_bound=bool(exceeds),
+        fingerprint=fingerprint,
         warmstart=warmstart,
     )

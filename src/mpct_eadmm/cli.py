@@ -23,7 +23,7 @@ from .artifact import load_offline, save_offline
 from .compare import interleaved_max_deviation, sample_states
 from .config import load_config
 from .errors import ArtifactError, ConfigError, MpctError, NumericalBreakdown
-from .offline import build_offline
+from .offline import build_offline, problem_fingerprint
 from .pendulum import closed_loop, scale_state
 from .problem import build_rho, validate_problem
 from .solver import eadmm_solve
@@ -58,6 +58,11 @@ def _get_offline(args, cfg):
         raise ArtifactError(
             f"artifact has (n, m, N) = {(offline.n, offline.m, offline.N)}, "
             f"the config {(p.n, p.m, p.N)}"
+        )
+    if offline.fingerprint != problem_fingerprint(p):
+        raise ArtifactError(
+            "artifact was built for another problem (model, costs or rho differ "
+            "from the config)"
         )
     return offline
 

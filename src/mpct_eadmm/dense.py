@@ -1,9 +1,10 @@
 """Dense, naive reference implementation used to validate the sparse solver.
 
 Everything here assembles the full constraint matrices explicitly and solves
-the per-iteration subproblems with generic dense linear algebra. It is
-deliberately slow and deliberately independent of the sparse code paths: the
-only shared knowledge is the problem definition itself.
+the per-iteration subproblems, and the full KKT system behind the warmstart
+gain, with generic dense linear algebra. It is deliberately slow and
+deliberately independent of the sparse code paths: the only shared knowledge
+is the problem definition itself.
 """
 
 from dataclasses import dataclass
@@ -146,6 +147,33 @@ def prop1_solve(H, q, G, b):
         raise SingularKkt(str(exc)) from None
     z = -(H_inv_GT @ mu + H_inv_q)
     return z, mu
+
+
+def state_sensitivity(problem):
+    """Sensitivity of the coupling problem's optimizer and duals to the state.
+
+    Solves the first-order optimality system of min 1/2 z2' TS z2 +
+    1/2 z3' diag(QR) z3 subject to A1 z1 + A2 z2 + A3 z3 = b for the
+    derivative with respect to the initial state in b. Returns minus that
+    derivative, rows stacked as (z1, z2, z3, lambda). The system is
+    nonsingular because TS and the stage weights are positive definite and
+    the coupling matrix has full row rank.
+    """
+    p = problem
+    Az = np.hstack([p.A1, p.A2, p.A3])
+    nz, nm = p.A1.shape[1], p.A2.shape[1]
+    nv = Az.shape[1]
+    K = np.zeros((nv + Az.shape[0],) * 2)
+    K[nz : nz + nm, nz : nz + nm] = p.TS
+    K[nz + nm : nv, nz + nm : nv] = np.diag(p.QR_diag)
+    K[:nv, nv:] = Az.T
+    K[nv:, :nv] = Az
+    rhs = np.zeros((K.shape[0], p.n))
+    rhs[nv : nv + p.n] = np.eye(p.n)
+    try:
+        return -np.linalg.solve(K, rhs)
+    except np.linalg.LinAlgError as exc:
+        raise SingularKkt(str(exc)) from None
 
 
 def dense_iterate_zero(problem):

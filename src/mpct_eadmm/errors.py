@@ -29,10 +29,6 @@ class FactorizationFailure(MpctError):
     """Block Cholesky factorization hit a non-positive pivot."""
 
 
-class SupportViolation(MpctError):
-    """The warmstart gain has significant entries outside its declared support."""
-
-
 class SingularKkt(MpctError):
     """A dense KKT system could not be solved."""
 

@@ -8,12 +8,12 @@ bound vectors and the (sparse) warmstart gain. All of it together occupies
 a number of scalars that is affine in the prediction horizon.
 """
 
+import hashlib
 from dataclasses import dataclass
 
 import numpy as np
 
-from .dense import splitting_matrices
-from .errors import FactorizationFailure, RankDeficientG2, SupportViolation
+from .errors import FactorizationFailure, RankDeficientG2
 
 # Singular values below RANK_RTOL * sigma_max are treated as zero.
 RANK_RTOL = 1e-10
@@ -132,76 +132,33 @@ class WarmstartGain:
 
     Only the artificial reference, the leading state block of the deviation
     variables and the first two dual state blocks move when the measured
-    state changes; all other rows of the full gain are numerically zero
-    (asserted at build time via ``support_residual``).
+    state changes; every other row of the full gain is exactly zero.
     """
 
     P_z2: np.ndarray
     P_z3_head: np.ndarray
     P_lambda_head: np.ndarray
-    support_residual: float
-    singular_kkt: bool = False
 
 
-def warmstart_sensitivity(model, costs, rho, N):
-    """Sensitivity of the optimizer and duals to the measured state.
+def compute_warmstart_gain(costs):
+    """Closed-form sensitivity of the coupling problem to the measured state.
 
-    Solves the first-order optimality system of the equality-constrained
-    problem for the derivative with respect to the initial state. Returns the
-    full gain, rows stacked as (z1, z2, z3, lambda) of the dense splitting,
-    and whether the system was singular (the minimum-norm solution is taken).
+    The gain is the derivative of minus (z2, z3, lambda) with respect to x of
+    the equality-constrained problem min 1/2 z2' diag(T, S) z2 + 1/2 z3' Q z3
+    subject to the coupling constraints A1 z1 + A2 z2 + A3 z3 = (x, 0). The
+    trajectory block z1 is free, so stationarity in z1 zeroes every dual but
+    the initial-state one and its copy in the stage-0 state congruence; then
+    z3 vanishes beyond stage 0, the input parts vanish, and the stage-0 state
+    splits as x = xs + z3_0 with T xs = Q z3_0. With F = (T + Q)^-1 this gives
+    xs = F Q x and z3_0 = F T x, independent of the penalty and the horizon.
     """
-    n, m = model.n, model.m
-    nm = n + m
-    nz = (N + 1) * nm
-    Az = np.hstack(splitting_matrices(n, m, N))
-    m_z = Az.shape[0]
-    nw = 2 * nz + nm + m_z
-    Hz = np.zeros((2 * nz + nm, 2 * nz + nm))
-    Hz[nz : nz + n, nz : nz + n] = costs.T
-    Hz[nz + n : nz + nm, nz + n : nz + nm] = costs.S
-    qr = np.concatenate([costs.Q_diag, costs.R_diag])
-    Hz[nz + nm :, nz + nm :] = np.diag(np.tile(qr, N + 1))
-    K = np.zeros((nw, nw))
-    K[: 2 * nz + nm, : 2 * nz + nm] = Hz
-    K[: 2 * nz + nm, 2 * nz + nm :] = Az.T
-    K[2 * nz + nm :, : 2 * nz + nm] = Az
-    rhs = np.zeros((nw, n))
-    rhs[2 * nz + nm : 2 * nz + nm + n] = np.eye(n)
-    Y, _, rank, _ = np.linalg.lstsq(K, rhs, rcond=RANK_RTOL)
-    return -Y, rank < nw
-
-
-def compute_warmstart_gain(model, costs, rho, N, support_tol=1e-9):
-    """Reduced rows of :func:`warmstart_sensitivity`, support checked.
-
-    Checks that the rows outside the declared support are numerically zero
-    and returns the reduced rows. The trajectory block is discarded
-    unconditionally since the online iteration overwrites it before use.
-    """
-    n, m = model.n, model.m
-    nm = n + m
-    nz = (N + 1) * nm
-    P, singular = warmstart_sensitivity(model, costs, rho, N)
-    z2_rows = P[nz : nz + nm]
-    z3 = P[nz + nm : 2 * nz + nm]
-    lam = P[2 * nz + nm :]
-    off_support = float(
-        max(np.abs(z3[n:]).max(initial=0.0), np.abs(lam[2 * n :]).max(initial=0.0))
-    )
-    p_max = float(np.abs(P).max())
-    if off_support > support_tol * max(1.0, p_max):
-        raise SupportViolation(
-            f"warmstart gain support residual {off_support:.3e} exceeds "
-            f"{support_tol:.1e} * max(1, {p_max:.3e})"
-        )
-    return WarmstartGain(
-        P_z2=z2_rows.copy(),
-        P_z3_head=z3[:n].copy(),
-        P_lambda_head=lam[: 2 * n].copy(),
-        support_residual=off_support,
-        singular_kkt=singular,
-    )
+    n, m = costs.Q_diag.size, costs.R_diag.size
+    F = np.linalg.inv(costs.T + np.diag(costs.Q_diag))
+    FT = F @ costs.T
+    QFT = costs.Q_diag[:, None] * FT
+    P_z2 = np.zeros((n + m, n))
+    P_z2[:n] = -F * costs.Q_diag
+    return WarmstartGain(P_z2=P_z2, P_z3_head=-FT, P_lambda_head=np.vstack([QFT, QFT]))
 
 
 @dataclass
@@ -209,7 +166,8 @@ class OfflineData:
     """Precomputed solver ingredients, immutable once built.
 
     All horizon-indexed data is stored in column-block layout ((n+m) rows,
-    one column per prediction step).
+    one column per prediction step). ``fingerprint`` is the
+    :func:`problem_fingerprint` of the problem the data was built for.
     """
 
     n: int
@@ -228,6 +186,7 @@ class OfflineData:
     u_only_ub: np.ndarray
     rho_upper_bound: float
     rho_exceeds_bound: bool
+    fingerprint: bytes
     warmstart: WarmstartGain = None
 
     def scalar_count(self):
@@ -244,6 +203,25 @@ class OfflineData:
         count += N * (n * (n + 1) // 2)  # beta_hats, packed triangles
         count += 6 * nm  # bound vectors
         return count
+
+
+def problem_fingerprint(problem):
+    """SHA-256 digest of everything the offline data is computed from.
+
+    Hashes (n, m, N) and the little-endian float64 bytes of the model, its
+    bounds and tightening margins, the cost weights and the penalties, in a
+    fixed order, so offline data can be matched to the problem it was built
+    for.
+    """
+    model, costs, rho = problem.model, problem.costs, problem.rho
+    h = hashlib.sha256(np.array([problem.n, problem.m, problem.N], dtype="<u8").tobytes())
+    for arr in (
+        model.A, model.B, model.x_lb, model.x_ub, model.u_lb, model.u_ub,
+        model.eps_x, model.eps_u, costs.Q_diag, costs.R_diag, costs.T, costs.S,
+        rho.rho0, rho.rho_s, rho.rho_hat,
+    ):
+        h.update(np.ascontiguousarray(arr, dtype="<f8").tobytes())
+    return h.digest()
 
 
 def build_offline(problem, with_warmstart=True):
@@ -264,7 +242,7 @@ def build_offline(problem, with_warmstart=True):
     u_only_ub = np.concatenate([np.full(n, np.inf), model.u_ub])
     bound = compute_rho_upper_bound(costs)
     rho_max = max(rho.rho0.max(), rho.rho_s.max(), rho.rho_hat.max())
-    gain = compute_warmstart_gain(model, costs, rho, N) if with_warmstart else None
+    gain = compute_warmstart_gain(costs) if with_warmstart else None
     return OfflineData(
         n=n,
         m=m,
@@ -282,5 +260,6 @@ def build_offline(problem, with_warmstart=True):
         u_only_ub=u_only_ub,
         rho_upper_bound=bound,
         rho_exceeds_bound=bool(rho_max >= bound),
+        fingerprint=problem_fingerprint(problem),
         warmstart=gain,
     )

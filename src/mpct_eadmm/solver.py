@@ -305,13 +305,13 @@ def warmstart_predict(prev, gain, x_prev, x_next):
     n = gain.P_z3_head.shape[0]
     if x_prev.shape != (n,) or x_next.shape != (n,):
         raise DimensionMismatch(f"states must have shape ({n},)")
-    nm, Np1 = prev.z1.shape
-    m = nm - n
-    state = cold_start(n, m, Np1 - 1)
-    state.z1 = prev.z1.copy()
-    state.z2 = prev.z2.copy()
-    state.z3 = prev.z3.copy()
-    state.lam = prev.lam.copy()
+    state = SolverState(
+        z1=prev.z1.copy(),
+        z2=prev.z2.copy(),
+        z3=prev.z3.copy(),
+        lam=prev.lam.copy(),
+        gamma=np.zeros_like(prev.lam),
+    )
     dx = x_next - x_prev
     state.z2 -= gain.P_z2 @ dx
     state.z3[:n, 0] -= gain.P_z3_head @ dx

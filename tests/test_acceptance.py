@@ -128,20 +128,29 @@ def test_criterion_3c_warmstart_indistinguishable(warm_trajectory, cold_trajecto
     assert worst <= 1e-6
 
 
-def test_criterion_4_warmstart_benefit(offline, warm_trajectory, cold_trajectory):
+def test_criterion_4_warmstart_benefit(
+    problem, offline, warm_trajectory, cold_trajectory, oracle_gain
+):
     warm_total = int(np.sum(warm_trajectory.iterations))
     cold_total = int(np.sum(cold_trajectory.iterations))
-    support = offline.warmstart.support_residual
-    ok = warm_total <= cold_total and support <= 1e-9
+    P, rows, support = oracle_gain(problem.model, problem.costs, problem.rho, problem.N)
+    gain_bound = 1e-10 * max(1.0, float(np.abs(P).max()))
+    gain_err = max(
+        float(np.abs(getattr(offline.warmstart, name) - getattr(rows, name)).max())
+        for name in ("P_z2", "P_z3_head", "P_lambda_head")
+    )
+    ok = warm_total <= cold_total and support <= 1e-9 and gain_err <= gain_bound
     report(
         4,
         "warmstart benefit",
         ok,
         f"total iterations {warm_total} warm <= {cold_total} cold; "
-        f"gain support residual {support:.3e} (<= 1e-9)",
+        f"oracle gain support residual {support:.3e} (<= 1e-9); "
+        f"gain vs oracle {gain_err:.3e} (<= {gain_bound:.1e})",
     )
     assert warm_total <= cold_total
     assert support <= 1e-9
+    assert gain_err <= gain_bound
 
 
 def test_criterion_5_memory_linearity():

@@ -1,11 +1,14 @@
 """Binary offline-artifact serialization tests."""
 
+import hashlib
+import struct
+
 import numpy as np
 import pytest
 
-from mpct_eadmm.artifact import load_offline, save_offline
+from mpct_eadmm.artifact import MAGIC, load_offline, save_offline
 from mpct_eadmm.errors import ArtifactError
-from mpct_eadmm.offline import build_offline
+from mpct_eadmm.offline import build_offline, problem_fingerprint
 from mpct_eadmm.pendulum import pendulum_problem
 
 
@@ -22,9 +25,10 @@ def assert_offline_equal(a, b):
         np.testing.assert_array_equal(getattr(a, name), getattr(b, name))
     assert a.rho_upper_bound == b.rho_upper_bound
     assert a.rho_exceeds_bound == b.rho_exceeds_bound
+    assert a.fingerprint == b.fingerprint
 
 
-def test_round_trip(tmp_path, offline):
+def test_round_trip(tmp_path, problem, offline):
     path = tmp_path / "pendulum.mpct"
     save_offline(offline, path)
     loaded = load_offline(path)
@@ -33,7 +37,7 @@ def test_round_trip(tmp_path, offline):
     np.testing.assert_array_equal(ws.P_z2, lws.P_z2)
     np.testing.assert_array_equal(ws.P_z3_head, lws.P_z3_head)
     np.testing.assert_array_equal(ws.P_lambda_head, lws.P_lambda_head)
-    assert ws.support_residual == lws.support_residual
+    assert loaded.fingerprint == problem_fingerprint(problem)
 
 
 def test_round_trip_without_warmstart(tmp_path):
@@ -70,9 +74,18 @@ def test_truncated_and_bad_magic(tmp_path, offline):
     path.write_bytes(blob[:20])
     with pytest.raises(ArtifactError):
         load_offline(path)
-    import hashlib
-
     tampered = b"NOT-A-MAGIC" + blob[11:-8]
     path.write_bytes(tampered + hashlib.sha256(tampered).digest()[:8])
     with pytest.raises(ArtifactError):
+        load_offline(path)
+
+
+def test_format_v1_rejected(tmp_path, offline):
+    path = tmp_path / "v1.mpct"
+    save_offline(offline, path)
+    blob = path.read_bytes()
+    at = len(MAGIC)
+    old = blob[:at] + struct.pack("<I", 1) + blob[at + 4 : -8]
+    path.write_bytes(old + hashlib.sha256(old).digest()[:8])
+    with pytest.raises(ArtifactError, match="unsupported format version 1"):
         load_offline(path)

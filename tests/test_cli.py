@@ -120,6 +120,19 @@ def test_solve_rejects_artifact_of_another_horizon(tmp_path, config_path, capsys
     assert "artifact has (n, m, N) = (3, 1, 5)" in err and "Traceback" not in err
 
 
+def test_solve_rejects_artifact_of_another_rho(tmp_path, config_path, capsys):
+    art = str(tmp_path / "default.mpct")
+    assert cli.main(["precompute", "--config", config_path, "--out", art]) == 0
+    capsys.readouterr()
+    other = write_config(tmp_path, lambda d: d.update(rho={"base": 5, "boost": 200}))
+    args = ["--x", "0,0,1", "--r", "0,0,0,0"]
+    assert cli.main(["solve", "--config", other, "--artifact", art, *args]) == 1
+    err = capsys.readouterr().err
+    assert "artifact was built for another problem" in err and "Traceback" not in err
+    assert cli.main(["solve", "--config", other, *args]) == 0
+    assert abs(json.loads(capsys.readouterr().out)["u0"][0] - 4.5) <= 1e-9
+
+
 def test_compare(config_path, capsys):
     code = cli.main(
         ["compare", "--config", config_path, "--trials", "3", "--iterations", "30", "--seed", "1"]

@@ -12,8 +12,8 @@ from mpct_eadmm.offline import (
     compute_h3_inverse,
     compute_m2,
     compute_rho_upper_bound,
+    compute_warmstart_gain,
     factor_block_tridiagonal,
-    warmstart_sensitivity,
 )
 from mpct_eadmm.problem import CostWeights, PenaltyParams, SystemModel
 from mpct_eadmm.solver import warmstart_predict
@@ -177,20 +177,71 @@ def test_rho_exceeds_bound_flag(problem, offline):
     assert build_offline(low, with_warmstart=False).rho_exceeds_bound is False
 
 
-def test_warmstart_gain_support(problem, offline):
-    gain = offline.warmstart
-    P_full, _ = warmstart_sensitivity(problem.model, problem.costs, problem.rho, problem.N)
-    p_max = abs(P_full).max()
-    assert gain.support_residual <= 1e-9 * max(1.0, p_max)
-    assert not gain.singular_kkt
+def _random_spd(rng, k):
+    G = rng.standard_normal((k, k))
+    M = G @ G.T + 0.1 * np.eye(k)
+    return 0.5 * (M + M.T)
 
 
-def test_warmstart_reduced_matches_full(problem, offline):
+def _random_rho(rng, n, m, N):
+    return PenaltyParams(
+        rho0=rng.uniform(0.1, 50, n),
+        rho_s=rng.uniform(0.1, 50, n + m),
+        rho_hat=rng.uniform(0.1, 50, (n + m, N + 1)),
+    )
+
+
+def assert_gain_close(gain, rows, bound):
+    for name in ("P_z2", "P_z3_head", "P_lambda_head"):
+        assert np.abs(getattr(gain, name) - getattr(rows, name)).max() <= bound, name
+
+
+def test_warmstart_gain_support(oracle_gain):
+    """The closed-form gain is the oracle's support, for any rho and horizon."""
+    rng = np.random.default_rng(17)
+    dims = [(3, 1, 2), (1, 3, 5), (2, 3, 2)]
+    dims += [
+        (int(rng.integers(1, 5)), int(rng.integers(1, 4)), int(rng.integers(2, 15)))
+        for _ in range(9)
+    ]
+    for n, m, N in dims:
+        model = SystemModel(
+            A=rng.standard_normal((n, n)),
+            B=rng.standard_normal((n, m)),
+            x_lb=-np.ones(n),
+            x_ub=np.ones(n),
+            u_lb=-np.ones(m),
+            u_ub=np.ones(m),
+        )
+        costs = CostWeights(
+            Q_diag=rng.uniform(0.01, 10, n),
+            R_diag=rng.uniform(0.01, 10, m),
+            T=_random_spd(rng, n),
+            S=_random_spd(rng, m),
+        )
+        gain = compute_warmstart_gain(costs)
+        for horizon in (N, N + 3):
+            for _ in range(2):
+                rho = _random_rho(rng, n, m, horizon)
+                P, rows, off_support = oracle_gain(model, costs, rho, horizon)
+                assert_gain_close(gain, rows, 1e-10 * max(1.0, np.abs(P).max()))
+                assert off_support <= 1e-9
+
+
+def test_warmstart_gain_pendulum_horizons(oracle_gain):
+    for N in (2, 12, 100):
+        prob = pendulum_problem(N=N)
+        P, rows, _ = oracle_gain(prob.model, prob.costs, prob.rho, N)
+        gain = build_offline(prob).warmstart
+        assert_gain_close(gain, rows, 1e-10 * max(1.0, np.abs(P).max()))
+
+
+def test_warmstart_reduced_matches_full(problem, offline, oracle_gain):
     """The reduced-row update reproduces the full-gain update."""
     n, m, N = problem.n, problem.m, problem.N
     nm, nz = n + m, (N + 1) * (n + m)
     gain = offline.warmstart
-    full, _ = warmstart_sensitivity(problem.model, problem.costs, problem.rho, N)
+    full, _, off_support = oracle_gain(problem.model, problem.costs, problem.rho, N)
     rng = np.random.default_rng(5)
     prev = _random_result(rng, n, m, N)
     for _ in range(100):
@@ -201,7 +252,7 @@ def test_warmstart_reduced_matches_full(problem, offline):
         lam_full = dense.pack_duals(prev.lam, n, m, N) - full[2 * nz + nm :] @ dx
         # the two updates differ exactly by the (numerically zero) rows
         # outside the declared support
-        tol = 1e-12 + gain.support_residual * np.abs(dx).sum()
+        tol = 1e-12 + off_support * np.abs(dx).sum()
         assert np.abs(state.z2 - z2_full).max() <= tol
         assert np.abs(state.z3.flatten(order="F") - z3_full).max() <= tol
         assert np.abs(dense.pack_duals(state.lam, n, m, N) - lam_full).max() <= tol
