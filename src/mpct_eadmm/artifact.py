@@ -28,20 +28,6 @@ def _pack_array(arr):
     return np.ascontiguousarray(arr, dtype="<f8").tobytes()
 
 
-def _triu_pack(block):
-    n = block.shape[0]
-    return np.concatenate([block[i, i:] for i in range(n)])
-
-
-def _triu_unpack(flat, n):
-    block = np.zeros((n, n))
-    pos = 0
-    for i in range(n):
-        block[i, i:] = flat[pos : pos + n - i]
-        pos += n - i
-    return block
-
-
 def save_offline(offline, path):
     """Write an OfflineData bundle to a binary artifact file."""
     n, m, N = offline.n, offline.m, offline.N
@@ -51,8 +37,9 @@ def save_offline(offline, path):
         offline.H3_inv.flatten(order="F"),
         offline.M2.ravel(),
     ]
-    arrays.extend(a.ravel() for a in offline.alphas)
-    arrays.extend(_triu_pack(b) for b in offline.beta_hats)
+    rows, cols = np.triu_indices(n)
+    arrays.append(offline.alphas.ravel())
+    arrays.append(offline.beta_hats[:, rows, cols].ravel())
     arrays.extend(getattr(offline, name) for name in BOUND_FIELDS)
     arrays.append(np.array([offline.rho_upper_bound, float(offline.rho_exceeds_bound)]))
     parts.extend(_pack_array(a) for a in arrays)
@@ -107,9 +94,10 @@ def load_offline(path):
     H1_inv = rd.floats(nm * (N + 1)).reshape(nm, N + 1, order="F")
     H3_inv = rd.floats(nm * (N + 1)).reshape(nm, N + 1, order="F")
     M2 = rd.floats(nm * nm).reshape(nm, nm)
-    alphas = [rd.floats(n * n).reshape(n, n) for _ in range(N - 1)]
-    tri = n * (n + 1) // 2
-    beta_hats = [_triu_unpack(rd.floats(tri), n) for _ in range(N)]
+    alphas = rd.floats((N - 1) * n * n).reshape(N - 1, n, n)
+    rows, cols = np.triu_indices(n)
+    beta_hats = np.zeros((N, n, n))
+    beta_hats[:, rows, cols] = rd.floats(N * rows.size).reshape(N, rows.size)
     bounds = {name: rd.floats(nm) for name in BOUND_FIELDS}
     bound, exceeds = rd.floats(2)
     has_ws = rd.take(1)

@@ -9,7 +9,7 @@ a number of scalars that is affine in the prediction horizon.
 """
 
 import hashlib
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -66,18 +66,17 @@ def factor_block_tridiagonal(diag_blocks, offdiag_blocks):
     """Block Cholesky of a symmetric positive definite block-tridiagonal matrix.
 
     ``diag_blocks`` are the N diagonal n-by-n blocks and ``offdiag_blocks``
-    the N-1 super-diagonal blocks. Returns (alphas, beta_hats) where the
-    upper factor has beta blocks on the diagonal and alpha blocks above it;
-    beta_hats carry the reciprocals of the beta diagonals so the online
-    substitution multiplies instead of divides.
+    the N-1 super-diagonal blocks. Returns (alphas, beta_hats), stacked as
+    (N-1, n, n) and (N, n, n) arrays, where the upper factor has beta blocks
+    on the diagonal and alpha blocks above it; beta_hats carry the
+    reciprocals of the beta diagonals in place of the diagonals.
     """
-    N = len(diag_blocks)
-    alphas, beta_hats = [], []
-    prev_alpha = None
+    N, n = len(diag_blocks), diag_blocks[0].shape[0]
+    alphas, beta_hats = np.empty((N - 1, n, n)), np.empty((N, n, n))
     for k in range(N):
         Wkk = diag_blocks[k]
-        if prev_alpha is not None:
-            Wkk = Wkk - prev_alpha.T @ prev_alpha
+        if k > 0:
+            Wkk = Wkk - alphas[k - 1].T @ alphas[k - 1]
         try:
             beta = np.linalg.cholesky(Wkk).T  # upper triangular
         except np.linalg.LinAlgError:
@@ -86,13 +85,30 @@ def factor_block_tridiagonal(diag_blocks, offdiag_blocks):
             ) from None
         if k < N - 1:
             # beta^T alpha = W_{k,k+1}; beta^T is lower triangular.
-            alpha = np.linalg.solve(beta.T, offdiag_blocks[k])
-            alphas.append(alpha)
-            prev_alpha = alpha
-        beta_hat = beta.copy()
-        np.fill_diagonal(beta_hat, 1.0 / np.diag(beta))
-        beta_hats.append(beta_hat)
+            alphas[k] = np.linalg.solve(beta.T, offdiag_blocks[k])
+        beta_hats[k] = beta
+    d = np.arange(n)
+    beta_hats[:, d, d] = 1.0 / beta_hats[:, d, d]
     return alphas, beta_hats
+
+
+def cholesky_band(alphas, beta_hats):
+    """Upper band of the block Cholesky factor in LAPACK storage.
+
+    The factor U (W = U' U) has bandwidth kd = 2n - 1, so the band is a
+    (2n, N n) Fortran-ordered array with U[i, j] at row kd + i - j of
+    column j, as ``dpbtrs`` reads it. Derived from the factor blocks of
+    :func:`factor_block_tridiagonal`, whose diagonals it reciprocates back.
+    """
+    N, n = beta_hats.shape[:2]
+    # Built transposed: column k n + b of U, from alpha_{k-1} and beta_k,
+    # ends with its diagonal entry in slot kd.
+    cols = np.zeros((N, n, 2 * n))
+    for b in range(n):
+        cols[1:, b, n - 1 - b : 2 * n - 1 - b] = alphas[:, :, b]
+        cols[:, b, 2 * n - 1 - b :] = beta_hats[:, : b + 1, b]
+    cols[:, :, -1] = 1.0 / cols[:, :, -1]
+    return cols.reshape(N * n, 2 * n).T
 
 
 def compute_banded_cholesky(model, H3_inv, N):
@@ -105,13 +121,10 @@ def compute_banded_cholesky(model, H3_inv, N):
     """
     n = model.n
     AB = np.hstack([model.A, model.B])
-    diag_blocks, offdiag_blocks = [], []
-    for j in range(N):
-        Dj = H3_inv[:, j]
-        Dj1x = H3_inv[:n, j + 1]
-        diag_blocks.append((AB * Dj) @ AB.T + np.diag(Dj1x))
-        if j < N - 1:
-            offdiag_blocks.append(-(Dj1x[:, None] * model.A.T))
+    D = H3_inv[:, :N].T[:, None, :]
+    Dx1 = H3_inv[:n, 1 : N + 1].T[:, :, None]
+    diag_blocks = (AB * D) @ AB.T + Dx1 * np.eye(n)
+    offdiag_blocks = -(Dx1[:-1] * model.A.T)
     return factor_block_tridiagonal(diag_blocks, offdiag_blocks)
 
 
@@ -168,6 +181,9 @@ class OfflineData:
     All horizon-indexed data is stored in column-block layout ((n+m) rows,
     one column per prediction step). ``fingerprint`` is the
     :func:`problem_fingerprint` of the problem the data was built for.
+    ``band`` (:func:`cholesky_band`) and the per-stage boxes ``z1_lb`` and
+    ``z1_ub`` of the trajectory block are derived on construction, at build
+    and at load, and are neither stored nor serialized.
     """
 
     n: int
@@ -176,8 +192,8 @@ class OfflineData:
     H1_inv: np.ndarray
     H3_inv: np.ndarray
     M2: np.ndarray
-    alphas: list
-    beta_hats: list
+    alphas: np.ndarray
+    beta_hats: np.ndarray
     z_lb: np.ndarray
     z_ub: np.ndarray
     z_lb_s: np.ndarray
@@ -188,6 +204,16 @@ class OfflineData:
     rho_exceeds_bound: bool
     fingerprint: bytes
     warmstart: WarmstartGain = None
+    band: np.ndarray = field(init=False, repr=False)
+    z1_lb: np.ndarray = field(init=False, repr=False)
+    z1_ub: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self):
+        self.band = cholesky_band(self.alphas, self.beta_hats)
+        self.z1_lb = np.repeat(self.z_lb[:, None], self.N + 1, axis=1)
+        self.z1_lb[:, 0], self.z1_lb[:, -1] = self.u_only_lb, self.z_lb_s
+        self.z1_ub = np.repeat(self.z_ub[:, None], self.N + 1, axis=1)
+        self.z1_ub[:, 0], self.z1_ub[:, -1] = self.u_only_ub, self.z_ub_s
 
     def scalar_count(self):
         """Number of scalars in the stored representation.

@@ -1,14 +1,15 @@
 """Online extended-ADMM iteration for the MPCT problem.
 
 All per-iteration work is matrix-free apart from the small dense gain of the
-artificial-reference subproblem and the banded triangular substitutions; no
-horizon-sized matrix is ever formed. Horizon-indexed iterates live in
+artificial-reference subproblem and one LAPACK band solve; no horizon-sized
+matrix is ever formed. Horizon-indexed iterates live in
 column-block layout: one (n+m) column per prediction step.
 """
 
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.linalg.lapack import dpbtrs
 
 from .errors import DimensionMismatch, NumericalBreakdown
 
@@ -77,20 +78,17 @@ def solve_qp1(state, offline, rho, x):
 
     The negated linear term is assembled columnwise from the congruence
     penalties, the initial-state penalty (first column) and the terminal
-    penalties (last column); no matrix products are involved.
+    penalties (last column), then clipped against the per-stage boxes in
+    one call; no matrix products are involved.
     """
     n, N = offline.n, offline.N
-    z2, z3, lam = state.z2, state.z3, state.lam
-    rh = rho.rho_hat
-    v0 = rh[:, 0] * (z2 + z3[:, 0]) + lam[:, 1] - lam[:, 0]
-    v0[:n] += rho.rho0 * x
-    state.z1[:, 0] = np.clip(v0 * offline.H1_inv[:, 0], offline.u_only_lb, offline.u_only_ub)
-    vmid = rh[:, 1:N] * (z2[:, None] + z3[:, 1:N]) + lam[:, 2 : N + 1]
-    state.z1[:, 1:N] = np.clip(
-        vmid * offline.H1_inv[:, 1:N], offline.z_lb[:, None], offline.z_ub[:, None]
-    )
-    vN = rh[:, N] * z3[:, N] + (rh[:, N] + rho.rho_s) * z2 + lam[:, N + 1] + lam[:, N + 2]
-    state.z1[:, N] = np.clip(vN * offline.H1_inv[:, N], offline.z_lb_s, offline.z_ub_s)
+    z2, lam = state.z2, state.lam
+    v = rho.rho_hat * (z2[:, None] + state.z3) + lam[:, 1 : N + 2]
+    v[:, 0] -= lam[:, 0]
+    v[:n, 0] += rho.rho0 * x
+    v[:, N] += rho.rho_s * z2 + lam[:, N + 2]
+    v *= offline.H1_inv
+    np.clip(v, offline.z1_lb, offline.z1_ub, out=state.z1)
     return state.z1
 
 
@@ -99,46 +97,23 @@ def solve_qp2(state, offline, rho, ts_r):
 
     ``ts_r`` is the reference weighted by the offset cost, diag(T, S) r.
     """
-    N = offline.N
-    z1, z3, lam = state.z1, state.z3, state.lam
-    rh = rho.rho_hat
-    q2 = (
-        -ts_r
-        + rh[:, N] * z3[:, N]
-        - (rh[:, N] + rho.rho_s) * z1[:, N]
-        + lam[:, N + 1]
-        + lam[:, N + 2]
-    )
-    q2 += np.sum(rh[:, :N] * (z3[:, :N] - z1[:, :N]) + lam[:, 1 : N + 1], axis=1)
+    z1 = state.z1
+    q2 = np.sum(rho.rho_hat * (state.z3 - z1), axis=1) + np.sum(state.lam[:, 1:], axis=1)
+    q2 -= rho.rho_s * z1[:, offline.N] + ts_r
     state.z2 = offline.M2 @ q2
     return state.z2
 
 
-def banded_forward_backward(alphas, beta_hats, c):
-    """Solve W z = c given the banded block Cholesky factors of W.
+def banded_forward_backward(band, c):
+    """Solve W z = c given the upper band of W's Cholesky factor.
 
-    Forward substitution with the transposed factor, then backward
-    substitution; the stored reciprocal diagonals turn every division into a
-    multiplication. ``c`` has one n-column per block.
+    ``band`` is the LAPACK upper band storage of :func:`offline.cholesky_band`;
+    one ``dpbtrs`` call does the forward and the backward substitution.
+    ``c`` has one n-column per block.
     """
-    N = c.shape[1]
-    n = c.shape[0]
-    z = c.copy()
-    for k in range(N):
-        zk = z[:, k]
-        if k > 0:
-            zk -= alphas[k - 1].T @ z[:, k - 1]
-        bh = beta_hats[k]
-        for j in range(n):
-            zk[j] = (zk[j] - bh[:j, j] @ zk[:j]) * bh[j, j]
-    for k in range(N - 1, -1, -1):
-        zk = z[:, k]
-        if k < N - 1:
-            zk -= alphas[k] @ z[:, k + 1]
-        bh = beta_hats[k]
-        for j in range(n - 1, -1, -1):
-            zk[j] = (zk[j] - bh[j, j + 1 :] @ zk[j + 1 :]) * bh[j, j]
-    return z
+    n, N = c.shape
+    z, _ = dpbtrs(band, c.ravel(order="F"))
+    return z.reshape(N, n).T
 
 
 def solve_qp3(state, offline, rho, AB):
@@ -151,7 +126,7 @@ def solve_qp3(state, offline, rho, AB):
     q3 = rho.rho_hat * (z2[:, None] - z1) + lam[:, 1 : N + 2]
     t = offline.H3_inv * q3
     c = t[:n, 1:] - AB @ t[:, :N]
-    mu = banded_forward_backward(offline.alphas, offline.beta_hats, c)
+    mu = banded_forward_backward(offline.band, c)
     q3[:, :N] += AB.T @ mu
     q3[:n, 1:] -= mu
     state.z3 = -offline.H3_inv * q3

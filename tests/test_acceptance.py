@@ -13,6 +13,7 @@ from mpct_eadmm import dense
 from mpct_eadmm.compare import interleaved_max_deviation, sample_states
 from mpct_eadmm.offline import (
     build_offline,
+    cholesky_band,
     compute_rho_upper_bound,
     factor_block_tridiagonal,
 )
@@ -222,7 +223,7 @@ def test_criterion_7_banded_solver_property_suite():
                 W[(k + 1) * n : (k + 2) * n, k * n : (k + 1) * n] = off[k].T
         alphas, beta_hats = factor_block_tridiagonal(diag, off)
         c = rng.standard_normal((n, N))
-        z = banded_forward_backward(alphas, beta_hats, c.copy())
+        z = banded_forward_backward(cholesky_band(alphas, beta_hats), c.copy())
         ref = np.linalg.solve(W, c.flatten(order="F")).reshape(n, N, order="F")
         rel = np.abs(z - ref).max() / max(1.0, np.abs(ref).max())
         worst = max(worst, rel)

@@ -50,6 +50,17 @@ def test_round_trip_without_warmstart(tmp_path):
     assert loaded.warmstart is None
 
 
+def test_derived_arrays_bit_identical_after_reload(tmp_path):
+    for N in (2, 100):
+        offline = build_offline(pendulum_problem(N=N))
+        path = tmp_path / f"derived{N}.mpct"
+        save_offline(offline, path)
+        loaded = load_offline(path)
+        for name in ("band", "z1_lb", "z1_ub"):
+            a, b = getattr(offline, name), getattr(loaded, name)
+            assert a.shape == b.shape and a.tobytes() == b.tobytes(), (name, N)
+
+
 def test_deterministic_bytes(tmp_path, offline):
     p1, p2 = tmp_path / "a.mpct", tmp_path / "b.mpct"
     save_offline(offline, p1)

@@ -7,6 +7,7 @@ from mpct_eadmm import dense
 from mpct_eadmm.errors import FactorizationFailure, RankDeficientG2
 from mpct_eadmm.offline import (
     build_offline,
+    cholesky_band,
     compute_banded_cholesky,
     compute_h1_inverse,
     compute_h3_inverse,
@@ -152,6 +153,43 @@ def test_banded_cholesky_shapes_minimum_horizon(problem):
     H3_inv = compute_h3_inverse(problem.costs, problem.rho)[:, :3]
     alphas, beta_hats = compute_banded_cholesky(problem.model, H3_inv, 2)
     assert len(alphas) == 1 and len(beta_hats) == 2
+
+
+def test_cholesky_band_matches_dense_factor():
+    """The derived band is the dense Cholesky factor in LAPACK upper band storage."""
+    rng = np.random.default_rng(23)
+    dims = [(1, 1, 2), (1, 3, 6), (2, 3, 2), (3, 1, 12)]
+    dims += [
+        (int(rng.integers(1, 5)), int(rng.integers(1, 4)), int(rng.integers(2, 15)))
+        for _ in range(8)
+    ]
+    for n, m, N in dims:
+        model = SystemModel(
+            A=rng.standard_normal((n, n)),
+            B=rng.standard_normal((n, m)),
+            x_lb=-np.ones(n),
+            x_ub=np.ones(n),
+            u_lb=-np.ones(m),
+            u_ub=np.ones(m),
+        )
+        costs = CostWeights(
+            Q_diag=rng.uniform(0.01, 10, n),
+            R_diag=rng.uniform(0.01, 10, m),
+            T=_random_spd(rng, n),
+            S=_random_spd(rng, m),
+        )
+        rho = _random_rho(rng, n, m, N)
+        H3_inv = compute_h3_inverse(costs, rho)
+        band = cholesky_band(*compute_banded_cholesky(model, H3_inv, N))
+        dp = dense.assemble_dense(model, costs, rho, N, np.zeros(n), np.zeros(n + m))
+        U = np.linalg.cholesky(dp.G3 @ np.linalg.solve(dp.H3, dp.G3.T)).T
+        kd = 2 * n - 1
+        expected = np.zeros((kd + 1, N * n))
+        for j in range(N * n):
+            for i in range(max(0, j - kd), j + 1):
+                expected[kd + i - j, j] = U[i, j]
+        assert band.shape == expected.shape
+        assert np.abs(band - expected).max() <= 1e-12 * np.abs(U).max(), (n, m, N)
 
 
 def test_factorization_failure_on_indefinite_blocks():

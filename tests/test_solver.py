@@ -18,7 +18,7 @@ from mpct_eadmm.solver import (
     solve_qp3,
     update_duals,
 )
-from mpct_eadmm.offline import build_offline, factor_block_tridiagonal
+from mpct_eadmm.offline import build_offline, cholesky_band, factor_block_tridiagonal
 from mpct_eadmm.pendulum import pendulum_problem
 from mpct_eadmm.problem import (
     CostWeights,
@@ -147,10 +147,9 @@ def test_qp3_matches_dense_kkt(problem, offline):
 
 
 def test_banded_forward_backward_identity():
-    alphas = [np.zeros((2, 2)) for _ in range(3)]
-    beta_hats = [np.eye(2) for _ in range(4)]
+    band = cholesky_band(np.zeros((3, 2, 2)), np.stack([np.eye(2)] * 4))
     c = np.arange(8, dtype=float).reshape(2, 4, order="F")
-    z = banded_forward_backward(alphas, beta_hats, c)
+    z = banded_forward_backward(band, c)
     np.testing.assert_allclose(z, c, atol=1e-15)
 
 
@@ -160,7 +159,7 @@ def test_banded_forward_backward_small_tridiagonal():
         [W[:1, :1], W[1:, 1:]], [W[:1, 1:]]
     )
     c = np.array([[1.0, 0.0]])
-    z = banded_forward_backward(alphas, beta_hats, c)
+    z = banded_forward_backward(cholesky_band(alphas, beta_hats), c)
     np.testing.assert_allclose(z.ravel(), [2.0 / 3.0, 1.0 / 3.0], atol=1e-14)
 
 

@@ -1,9 +1,16 @@
-"""Module boundaries of the package, read from its import statements."""
+"""Structure of the package: module boundaries read from its import
+statements, and the memory an online solve allocates."""
 
 import ast
+import tracemalloc
 from pathlib import Path
 
+import numpy as np
+
 import mpct_eadmm
+from mpct_eadmm.offline import build_offline
+from mpct_eadmm.pendulum import pendulum_problem
+from mpct_eadmm.solver import eadmm_solve
 
 PACKAGE = Path(mpct_eadmm.__file__).parent
 
@@ -32,3 +39,24 @@ def test_sparse_path_and_oracle_are_separate():
     assert "dense" not in package_imports("offline")
     assert "dense" not in package_imports("solver")
     assert not package_imports("dense") & {"offline", "solver", "compare"}
+
+
+def test_online_solve_forms_no_horizon_sized_matrix():
+    """A cold solve at N = 100 allocates a few times the factor's band.
+
+    The band holds 2n x N n doubles (14.4 KB for the pendulum); one dense
+    N n x N n matrix would take 720 KB, fifty times as much.
+    """
+    problem = pendulum_problem(N=100)
+    n, N = problem.n, problem.N
+    data = build_offline(problem, with_warmstart=False)
+    assert data.band.size == 2 * n * N * n
+    x, r = np.array([0.1, 0.0, 0.5]), np.zeros(n + problem.m)
+    eadmm_solve(data, problem, x, r)  # lazy imports and caches outside the trace
+    tracemalloc.start()
+    try:
+        eadmm_solve(data, problem, x, r)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * data.band.nbytes
