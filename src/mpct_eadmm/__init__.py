@@ -24,13 +24,8 @@ from .offline import (
     OfflineData,
     WarmstartGain,
     build_offline,
-    compute_banded_cholesky,
-    compute_h1_inverse,
-    compute_h3_inverse,
-    compute_m2,
     compute_rho_upper_bound,
     compute_warmstart_gain,
-    factor_block_tridiagonal,
 )
 from .problem import (
     CostWeights,
@@ -44,7 +39,6 @@ from .problem import (
 from .solver import (
     SolveResult,
     SolverState,
-    banded_forward_backward,
     cold_start,
     eadmm_solve,
     warmstart_predict,
@@ -74,18 +68,12 @@ __all__ = [
     "SystemModel",
     "ValidatedProblem",
     "WarmstartGain",
-    "banded_forward_backward",
     "build_offline",
     "build_rho",
     "cold_start",
-    "compute_banded_cholesky",
-    "compute_h1_inverse",
-    "compute_h3_inverse",
-    "compute_m2",
     "compute_rho_upper_bound",
     "compute_warmstart_gain",
     "eadmm_solve",
-    "factor_block_tridiagonal",
     "validate_problem",
     "warmstart_predict",
 ]

@@ -1,4 +1,4 @@
-"""Command line front end: precompute, solve, simulate, compare, bench.
+"""Command line front end: precompute, solve, simulate, compare.
 
 Exit codes: 0 success, 1 configuration or I/O error, 2 numerical breakdown
 (or failed equivalence check), 3 solver did not converge. A solve that met
@@ -11,10 +11,7 @@ import csv
 import json
 import logging
 import os
-import statistics
 import sys
-import time
-from dataclasses import replace
 
 import numpy as np
 
@@ -25,7 +22,6 @@ from .config import load_config
 from .errors import ArtifactError, ConfigError, MpctError, NumericalBreakdown
 from .offline import build_offline, problem_fingerprint
 from .pendulum import closed_loop, scale_state
-from .problem import build_rho, validate_problem
 from .solver import eadmm_solve
 
 log = logging.getLogger("mpct")
@@ -67,8 +63,14 @@ def _get_offline(args, cfg):
     return offline
 
 
-def _parse_floats(text):
-    return np.array([float(v) for v in text.split(",")])
+def _parse_floats(text, flag):
+    try:
+        values = np.array([float(v) for v in text.split(",")])
+    except ValueError:
+        raise ConfigError(flag, f"expected comma separated numbers, got {text!r}") from None
+    if not np.all(np.isfinite(values)):
+        raise ConfigError(flag, f"expected finite numbers, got {text!r}")
+    return values
 
 
 def cmd_precompute(args):
@@ -100,8 +102,8 @@ def cmd_precompute(args):
 def cmd_solve(args):
     cfg = load_config(args.config)
     offline = _get_offline(args, cfg)
-    x = _parse_floats(args.x) if args.x else scale_state(cfg.x0_physical, cfg.sim.scale)
-    r = _parse_floats(args.r) if args.r else cfg.reference
+    x = _parse_floats(args.x, "--x") if args.x else scale_state(cfg.x0_physical, cfg.sim.scale)
+    r = _parse_floats(args.r, "--r") if args.r else cfg.reference
     result = eadmm_solve(offline, cfg.problem, x, r)
     print(
         json.dumps(
@@ -183,6 +185,8 @@ def cmd_compare(args):
     cfg = load_config(args.config)
     offline = _get_offline(args, cfg)
     seed = args.seed if args.seed is not None else cfg.seed
+    if seed < 0:
+        raise ConfigError("--seed", f"expected a non-negative integer, got {seed}")
     rng = np.random.default_rng(seed)
     trials = args.trials
     report = {"trials": trials, "seed": seed, "max_deviation": 0.0, "max_kkt_residual": 0.0}
@@ -215,48 +219,6 @@ def cmd_compare(args):
     return EXIT_OK if report["max_deviation"] <= 1e-8 else EXIT_NUMERICAL
 
 
-def cmd_bench(args):
-    cfg = load_config(args.config)
-    horizons = [int(v) for v in args.horizons.split(",")] if args.horizons else [cfg.problem.N]
-    base = cfg.problem
-    x = scale_state(cfg.x0_physical, cfg.sim.scale)
-    out_path = args.out or cfg.output
-    fh = open(out_path, "w", newline="") if out_path else sys.stdout
-    try:
-        writer = csv.writer(fh)
-        writer.writerow(["N", "scalar_count", "iterations", "median_time_us", "worst_time_us"])
-        for N in horizons:
-            config = replace(base.config, N=N)
-            rho = base.rho
-            if rho.rho_hat.shape[1] != N + 1:
-                # Rebuild the default boost pattern for the new horizon.
-                rho = build_rho(
-                    base.model, config, float(rho.rho_hat.min()), float(rho.rho_hat.max())
-                )
-            problem = validate_problem(base.model, base.costs, config, rho)
-            offline = build_offline(problem, with_warmstart=False)
-            times = []
-            iters = None
-            for _ in range(args.repeats):
-                t0 = time.perf_counter()
-                result = eadmm_solve(offline, problem, x, cfg.reference)
-                times.append((time.perf_counter() - t0) * 1e6)
-                iters = result.iterations
-            writer.writerow(
-                [
-                    str(N),
-                    str(offline.scalar_count()),
-                    str(iters),
-                    _fmt(statistics.median(times)),
-                    _fmt(max(times)),
-                ]
-            )
-    finally:
-        if out_path:
-            fh.close()
-    return EXIT_OK
-
-
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="mpct",
@@ -287,10 +249,6 @@ def build_parser():
     p.add_argument("--trials", type=int, default=20)
     p.add_argument("--iterations", type=int, default=50)
     p.add_argument("--seed", type=int, default=None)
-
-    p = add("bench", cmd_bench)
-    p.add_argument("--horizons", default=None, help="comma separated horizon list")
-    p.add_argument("--repeats", type=int, default=5)
     return parser
 
 

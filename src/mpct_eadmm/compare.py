@@ -10,20 +10,18 @@ import numpy as np
 from . import dense
 from .solver import cold_start, eadmm_step, linear_terms
 
-# Bound magnitudes at or above this are stand-ins for "unconstrained" and get
-# capped when sampling random states.
-UNBOUNDED_SENTINEL = 1e6
-
 
 def sample_states(model, rng, count, cap=1.0, fraction=0.9):
     """Draw random states from the interior of the state box.
 
-    Components whose bounds are effectively unbounded are sampled from
-    [-cap, cap]; bounded components from the central ``fraction`` of their
-    interval.
+    An infinite bound is placed 2 cap beyond the other bound, that bound
+    first limited to [-cap, cap]; a component with no bounds thus gets
+    [-cap, cap]. Each component is sampled from the central ``fraction``
+    of its interval.
     """
-    lo = np.where(model.x_lb <= -UNBOUNDED_SENTINEL, -cap, model.x_lb)
-    hi = np.where(model.x_ub >= UNBOUNDED_SENTINEL, cap, model.x_ub)
+    lb, ub = model.x_lb, model.x_ub
+    lo = np.where(np.isfinite(lb), lb, np.minimum(ub, cap) - 2 * cap)
+    hi = np.where(np.isfinite(ub), ub, np.maximum(lb, -cap) + 2 * cap)
     mid = 0.5 * (lo + hi)
     half = 0.5 * fraction * (hi - lo)
     return mid + rng.uniform(-1.0, 1.0, size=(count, model.n)) * half

@@ -155,14 +155,20 @@ def parse_config(doc):
         raise ConfigError(
             "reference", f"expected {model.n + model.m} entries, got {reference.shape}"
         )
+    warmstart = _get(doc, "warmstart", default=False)
+    if not isinstance(warmstart, bool):
+        raise ConfigError("warmstart", f"expected true or false, got {warmstart!r}")
+    seed = _get(doc, "seed", default=0)
+    if isinstance(seed, bool) or not isinstance(seed, int) or seed < 0:
+        raise ConfigError("seed", f"expected a non-negative integer, got {seed!r}")
     return RunConfig(
         problem=problem,
         sim=sim,
         pendulum=pendulum,
         x0_physical=x0,
         reference=reference,
-        warmstart=bool(_get(doc, "warmstart", default=False)),
-        seed=int(_get(doc, "seed", default=0)),
+        warmstart=warmstart,
+        seed=seed,
         output=_get(doc, "output", default=None),
     )
 

@@ -94,17 +94,16 @@ def assemble_dense(model, costs, rho, N, x, r):
     for j in range(N):
         G3[j * n : (j + 1) * n, j * nm : (j + 1) * nm] = AB
         G3[j * n : (j + 1) * n, (j + 1) * nm : (j + 1) * nm + n] = -np.eye(n)
-    big = 1e10
     z1_lb = np.concatenate(
         [
-            np.concatenate([np.full(n, -big), model.u_lb]),
+            np.concatenate([np.full(n, -np.inf), model.u_lb]),
             np.tile(np.concatenate([model.x_lb, model.u_lb]), N - 1),
             np.concatenate([model.x_lb + model.eps_x, model.u_lb + model.eps_u]),
         ]
     )
     z1_ub = np.concatenate(
         [
-            np.concatenate([np.full(n, big), model.u_ub]),
+            np.concatenate([np.full(n, np.inf), model.u_ub]),
             np.tile(np.concatenate([model.x_ub, model.u_ub]), N - 1),
             np.concatenate([model.x_ub - model.eps_x, model.u_ub - model.eps_u]),
         ]

@@ -32,12 +32,12 @@ PENDULUM_SCALE = 20.0
 # The benchmark controller's model and weights, as keyword arguments of
 # SystemModel and CostWeights. Boxes in controller units: |phi| <= pi/8,
 # |theta_dot| <= 60 rad/s and |theta_ddot| <= 90 rad/s^2 after scaling; the
-# body angular rate is unconstrained, with 1e10 standing in for its bound.
+# body angular rate is unbounded.
 PENDULUM_MODEL = {
     "A": PENDULUM_A,
     "B": PENDULUM_B,
-    "x_lb": np.array([-np.pi / 8, -1e10, -60.0 / PENDULUM_SCALE]),
-    "x_ub": np.array([np.pi / 8, 1e10, 60.0 / PENDULUM_SCALE]),
+    "x_lb": np.array([-np.pi / 8, -np.inf, -60.0 / PENDULUM_SCALE]),
+    "x_ub": np.array([np.pi / 8, np.inf, 60.0 / PENDULUM_SCALE]),
     "u_lb": np.array([-90.0 / PENDULUM_SCALE]),
     "u_ub": np.array([90.0 / PENDULUM_SCALE]),
 }
@@ -142,17 +142,11 @@ def unscale_input(u_scaled, scale):
     return np.asarray(u_scaled, dtype=float) * scale
 
 
-def pendulum_problem(
-    N=12,
-    epsilon=1e-4,
-    max_iter=4000,
-    rho_base=PENDULUM_RHO[0],
-    rho_boosted=PENDULUM_RHO[1],
-):
+def pendulum_problem(N=12, rho_base=PENDULUM_RHO[0], rho_boosted=PENDULUM_RHO[1]):
     """Benchmark controller: the scaled pendulum model with the standard weights."""
     model = SystemModel(**PENDULUM_MODEL)
     costs = CostWeights(**PENDULUM_COSTS)
-    config = MpctConfig(N=N, epsilon=epsilon, max_iter=max_iter)
+    config = MpctConfig(N=N)
     rho = build_rho(model, config, rho_base, rho_boosted)
     return validate_problem(model, costs, config, rho)
 

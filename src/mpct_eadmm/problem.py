@@ -71,10 +71,12 @@ class SystemModel:
         )
         if not (np.all(np.isfinite(self.A)) and np.all(np.isfinite(self.B))):
             raise DimensionMismatch("A and B must be finite")
-        if np.any(self.eps_x < 0) or np.any(self.eps_u < 0):
-            raise NonPositiveWeight("eps_x and eps_u must be nonnegative")
-        if np.any(self.x_lb >= self.x_ub) or np.any(self.u_lb >= self.u_ub):
-            raise EmptyBox("box bounds must satisfy lb < ub componentwise")
+        # Both tests fail on a NaN; an infinite bound passes.
+        eps = np.concatenate([self.eps_x, self.eps_u])
+        if not np.all((eps >= 0) & (eps < np.inf)):
+            raise NonPositiveWeight("eps_x and eps_u must be finite and nonnegative")
+        if not (np.all(self.x_lb < self.x_ub) and np.all(self.u_lb < self.u_ub)):
+            raise EmptyBox("box bounds must be numbers with lb < ub componentwise")
         if np.any(self.x_lb + self.eps_x >= self.x_ub - self.eps_x) or np.any(
             self.u_lb + self.eps_u >= self.u_ub - self.eps_u
         ):

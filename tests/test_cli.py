@@ -160,20 +160,6 @@ def test_compare_corrupted_artifact(tmp_path, config_path, capsys):
     assert code == 1
 
 
-def test_bench(tmp_path, config_path):
-    out = str(tmp_path / "bench.csv")
-    assert (
-        cli.main(
-            ["bench", "--config", config_path, "--horizons", "5,10", "--repeats", "2", "--out", out]
-        )
-        == 0
-    )
-    rows = read_csv(out)
-    assert rows[0] == ["N", "scalar_count", "iterations", "median_time_us", "worst_time_us"]
-    assert [r[0] for r in rows[1:]] == ["5", "10"]
-    assert all(int(r[1]) > 0 and int(r[2]) > 0 for r in rows[1:])
-
-
 def test_solve_reports_certification(tmp_path, config_path, capsys):
     argv = ["--x", "0.1,-0.2,1", "--r", "0,0,0,0"]
     assert cli.main(["solve", "--config", config_path] + argv) == 0
@@ -192,22 +178,34 @@ def test_solve_reports_certification(tmp_path, config_path, capsys):
     assert err == ""
 
 
-def test_bench_keeps_exit_test(tmp_path, monkeypatch):
-    seen = []
-
-    def spy(offline, problem, x, r, initial=None):
-        seen.append(problem.config.exit_test)
-        return solve(offline, problem, x, r, initial)
-
-    solve = cli.eadmm_solve
-    monkeypatch.setattr(cli, "eadmm_solve", spy)
-    path = write_config(tmp_path, lambda d: d.pop("exit_test"))
-    argv = ["bench", "--config", path, "--horizons", "5,10", "--repeats", "1"]
-    assert cli.main(argv + ["--out", str(tmp_path / "b.csv")]) == 0
-    assert seen == ["primal_dual", "primal_dual"]
-
-
 def test_invalid_exit_test_exit_code(tmp_path, capsys):
     path = write_config(tmp_path, lambda d: d.update(exit_test="dual"))
     assert cli.main(["solve", "--config", path]) == 1
     assert "exit_test" in capsys.readouterr().err
+
+
+def test_parser_offers_four_subcommands():
+    sub = next(a for a in cli.build_parser()._actions if a.dest == "command")
+    assert sorted(sub.choices) == ["compare", "precompute", "simulate", "solve"]
+
+
+def test_non_numeric_state_or_reference_exit_code(config_path, capsys):
+    for flag, value in (("--x", "0,abc,1"), ("--r", "0,0,x,0"), ("--x", "0,nan,1")):
+        assert cli.main(["solve", "--config", config_path, flag, value]) == 1
+        err = capsys.readouterr().err
+        assert f"config error: {flag}:" in err, (flag, value)
+    assert cli.main(["compare", "--config", config_path, "--seed", "-1"]) == 1
+    assert "config error: --seed:" in capsys.readouterr().err
+
+
+def test_bad_document_values_exit_code(tmp_path, capsys):
+    for key, mutate in (
+        ("seed", lambda d: d.update(seed="abc")),
+        ("seed", lambda d: d.update(seed=None)),
+        ("warmstart", lambda d: d.update(warmstart="false")),
+        ("model", lambda d: d["model"]["x_ub"].__setitem__(0, float("nan"))),
+    ):
+        path = write_config(tmp_path, mutate)
+        for command in ("solve", "simulate", "compare"):
+            assert cli.main([command, "--config", path]) == 1, (key, command)
+            assert f"config error: {key}:" in capsys.readouterr().err, (key, command)

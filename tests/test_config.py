@@ -21,7 +21,11 @@ def test_default_config_parses():
     assert cfg.problem.n == 3 and cfg.problem.m == 1 and cfg.problem.N == 12
     assert cfg.sim.steps == 250
     np.testing.assert_array_equal(cfg.x0_physical, [0.0, 0.0, 20.0])
-    assert not cfg.warmstart
+    assert cfg.warmstart is False and cfg.seed == 0
+    doc = default_pendulum_config()
+    doc.update(warmstart=True, seed=7)
+    cfg = parse_config(doc)
+    assert cfg.warmstart is True and cfg.seed == 7
 
 
 def test_missing_field_reports_path():
@@ -101,6 +105,8 @@ def test_config_round_trip_idempotent(tmp_path):
     path = write_config(tmp_path, doc)
     cfg1 = load_config(path)
     cfg2 = parse_config(json.loads(json.dumps(doc)))
+    assert ", -Infinity, " in path.read_text()  # the unbounded body rate
+    assert cfg1.problem.model.x_ub[1] == cfg2.problem.model.x_ub[1] == np.inf
     np.testing.assert_array_equal(cfg1.problem.model.A, cfg2.problem.model.A)
     np.testing.assert_array_equal(cfg1.problem.rho.rho_hat, cfg2.problem.rho.rho_hat)
     assert cfg1.problem.config.epsilon == cfg2.problem.config.epsilon
@@ -127,6 +133,13 @@ def test_solver_fields_report_their_key():
         ("max_iter", 0),
         ("max_iter", "many"),
         ("horizon", 1),
+        ("seed", "abc"),
+        ("seed", None),
+        ("seed", 1.5),
+        ("seed", True),
+        ("seed", -1),
+        ("warmstart", "false"),
+        ("warmstart", 0),
     ):
         doc = default_pendulum_config()
         doc[key] = bad

@@ -3,7 +3,7 @@
 import numpy as np
 
 from mpct_eadmm import dense
-from mpct_eadmm.compare import interleaved_max_deviation
+from mpct_eadmm.compare import interleaved_max_deviation, sample_states
 from mpct_eadmm.problem import (
     CostWeights,
     MpctConfig,
@@ -14,14 +14,15 @@ from mpct_eadmm.problem import (
 from mpct_eadmm.solver import eadmm_solve
 
 
-def tiny_problem(N=2, bound=1e6):
+def tiny_problem(N=2):
+    """A scalar system with no bounds."""
     model = SystemModel(
         A=np.array([[0.5]]),
         B=np.array([[1.0]]),
-        x_lb=np.array([-bound]),
-        x_ub=np.array([bound]),
-        u_lb=np.array([-bound]),
-        u_ub=np.array([bound]),
+        x_lb=np.array([-np.inf]),
+        x_ub=np.array([np.inf]),
+        u_lb=np.array([-np.inf]),
+        u_ub=np.array([np.inf]),
     )
     costs = CostWeights(
         Q_diag=np.array([2.0]), R_diag=np.array([1.0]), T=np.eye(1) * 3.0, S=np.eye(1)
@@ -94,6 +95,16 @@ def test_dense_replay_deterministic(problem):
     assert seqs[0] == seqs[1]
 
 
+def test_sample_states_finite_and_inside_infinite_boxes():
+    lb = np.array([-np.inf, -np.inf, 3.0, -np.inf, -2.0])
+    ub = np.array([np.inf, -10.0, np.inf, 5.0, 2.0])
+    model = SystemModel(A=np.eye(5), B=np.ones((5, 1)), x_lb=lb, x_ub=ub, u_lb=[-1], u_ub=[1])
+    states = sample_states(model, np.random.default_rng(3), 200)
+    assert states.shape == (200, 5) and np.all(np.isfinite(states))
+    assert np.all((states > lb) & (states < ub))
+    assert np.abs(states[:, 0]).max() <= 0.9  # no bounds: central 90 % of [-1, 1]
+
+
 def test_sparse_matches_dense_single_instance(problem, offline):
     dev = interleaved_max_deviation(
         problem, offline, np.array([0.0, 0.0, 1.0]), np.zeros(4), iterations=50
@@ -123,14 +134,14 @@ def _solve_equality_qp(p, dp):
 
 
 def test_kkt_residual_exact_solution():
-    p = tiny_problem(bound=1e8)
+    p = tiny_problem()
     dp = dense.assemble_dense(p.model, p.costs, p.rho, p.N, np.array([0.3]), np.zeros(2))
     z1, z2, z3, lam = _solve_equality_qp(p, dp)
     assert dense.kkt_residual(dp, z1, z2, z3, lam) <= 1e-9
 
 
 def test_kkt_residual_flags_infeasibility():
-    p = tiny_problem(bound=1e8)
+    p = tiny_problem()
     dp = dense.assemble_dense(p.model, p.costs, p.rho, p.N, np.array([0.3]), np.zeros(2))
     z1, z2, z3, lam = _solve_equality_qp(p, dp)
     z1 = z1 + 1.0  # breaks the congruence constraints

@@ -127,7 +127,7 @@ def test_closed_loop_zero_state_stays_zero(problem, offline):
 
 def test_pendulum_problem_bounds():
     p = pendulum_problem()
-    np.testing.assert_allclose(p.model.x_ub, [np.pi / 8, 1e10, 3.0])
+    np.testing.assert_allclose(p.model.x_ub, [np.pi / 8, np.inf, 3.0])
     np.testing.assert_allclose(p.model.u_ub, [4.5])
     np.testing.assert_allclose(p.costs.Q_diag, 5.0)
     assert p.costs.S[0, 0] == 0.125

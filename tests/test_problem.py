@@ -47,6 +47,20 @@ def test_tightened_box_empty_rejected():
         small_model(eps_x=np.array([1.0, 1.0]))
 
 
+def test_nan_bounds_rejected_infinite_accepted():
+    nan2, nan1 = np.array([np.nan, -1.0]), np.array([np.nan])
+    for name, value in (
+        ("x_lb", nan2), ("x_ub", nan2[::-1]), ("u_lb", nan1), ("u_ub", nan1),
+        ("eps_x", nan2), ("eps_u", nan1),
+    ):
+        with pytest.raises((EmptyBox, NonPositiveWeight)):
+            small_model(**{name: value})
+    model = small_model(x_lb=np.array([-np.inf, -1.0]), x_ub=np.array([np.inf, 1.0]))
+    assert np.array_equal(model.x_ub, [np.inf, 1.0])
+    with pytest.raises(NonPositiveWeight):  # an infinite margin
+        small_model(x_lb=np.array([-np.inf, -1.0]), eps_x=np.array([np.inf, 0.0]))
+
+
 def test_horizon_too_short():
     with pytest.raises(HorizonTooShort):
         MpctConfig(N=1)

@@ -34,6 +34,22 @@ def package_imports(module):
     return found
 
 
+def test_public_surface():
+    """Every exported name resolves; offline and banded internals stay in their modules."""
+    for name in mpct_eadmm.__all__:
+        assert hasattr(mpct_eadmm, name), name
+    internals = {
+        "compute_banded_cholesky",
+        "compute_h1_inverse",
+        "compute_h3_inverse",
+        "compute_m2",
+        "factor_block_tridiagonal",
+        "banded_forward_backward",
+    }
+    assert not internals & set(mpct_eadmm.__all__)
+    assert not any(hasattr(mpct_eadmm, name) for name in internals)
+
+
 def test_sparse_path_and_oracle_are_separate():
     """The solver never uses the dense oracle, and the oracle uses no sparse code."""
     assert "dense" not in package_imports("offline")
