@@ -82,6 +82,18 @@ def _array(doc, path, required=True, default=None):
         raise ConfigError(path, f"not a numeric array: {exc}") from None
 
 
+def _finite_vector(doc, path, size):
+    """The optional vector at ``path``: ``size`` finite entries, zeros if absent."""
+    val = _array(doc, path, required=False)
+    if val is None:
+        return np.zeros(size)
+    if val.shape != (size,):
+        raise ConfigError(path, f"expected {size} entries, got {val.shape}")
+    if not np.all(np.isfinite(val)):
+        raise ConfigError(path, f"expected finite numbers, got {val.tolist()}")
+    return val
+
+
 def _parse_rho(doc, model, config):
     spec = _get(doc, "rho", required=True)
     try:
@@ -143,24 +155,17 @@ def parse_config(doc):
         pendulum = PendulumParams(**pend_doc)
     except (TypeError, ValueError) as exc:
         raise ConfigError("sim.pendulum", str(exc)) from None
-    x0 = _array(doc, "sim.x0", required=False)
-    if x0 is None:
-        x0 = np.zeros(model.n)
-    elif x0.shape != (model.n,):
-        raise ConfigError("sim.x0", f"expected {model.n} entries, got {x0.shape}")
-    reference = _array(doc, "reference", required=False)
-    if reference is None:
-        reference = np.zeros(model.n + model.m)
-    elif reference.shape != (model.n + model.m,):
-        raise ConfigError(
-            "reference", f"expected {model.n + model.m} entries, got {reference.shape}"
-        )
+    x0 = _finite_vector(doc, "sim.x0", model.n)
+    reference = _finite_vector(doc, "reference", model.n + model.m)
     warmstart = _get(doc, "warmstart", default=False)
     if not isinstance(warmstart, bool):
         raise ConfigError("warmstart", f"expected true or false, got {warmstart!r}")
     seed = _get(doc, "seed", default=0)
     if isinstance(seed, bool) or not isinstance(seed, int) or seed < 0:
         raise ConfigError("seed", f"expected a non-negative integer, got {seed!r}")
+    output = _get(doc, "output", default=None)
+    if output is not None and not isinstance(output, str):
+        raise ConfigError("output", f"expected a file name, got {output!r}")
     return RunConfig(
         problem=problem,
         sim=sim,
@@ -169,7 +174,7 @@ def parse_config(doc):
         reference=reference,
         warmstart=warmstart,
         seed=seed,
-        output=_get(doc, "output", default=None),
+        output=output,
     )
 
 

@@ -181,9 +181,10 @@ class OfflineData:
     All horizon-indexed data is stored in column-block layout ((n+m) rows,
     one column per prediction step). ``fingerprint`` is the
     :func:`problem_fingerprint` of the problem the data was built for.
-    ``band`` (:func:`cholesky_band`) and the per-stage boxes ``z1_lb`` and
-    ``z1_ub`` of the trajectory block are derived on construction, at build
-    and at load, and are neither stored nor serialized.
+    ``band`` (:func:`cholesky_band`), the per-stage boxes ``z1_lb`` and
+    ``z1_ub`` of the trajectory block and ``neg_H3_inv`` = -H3_inv are
+    derived on construction, at build and at load, and are neither stored
+    nor serialized.
     """
 
     n: int
@@ -207,9 +208,11 @@ class OfflineData:
     band: np.ndarray = field(init=False, repr=False)
     z1_lb: np.ndarray = field(init=False, repr=False)
     z1_ub: np.ndarray = field(init=False, repr=False)
+    neg_H3_inv: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         self.band = cholesky_band(self.alphas, self.beta_hats)
+        self.neg_H3_inv = -self.H3_inv
         self.z1_lb = np.repeat(self.z_lb[:, None], self.N + 1, axis=1)
         self.z1_lb[:, 0], self.z1_lb[:, -1] = self.u_only_lb, self.z_lb_s
         self.z1_ub = np.repeat(self.z_ub[:, None], self.N + 1, axis=1)

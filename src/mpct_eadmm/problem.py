@@ -7,6 +7,7 @@ penalty parameters and the validation logic that every other module relies on.
 """
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -137,6 +138,22 @@ class PenaltyParams:
     rho0: np.ndarray
     rho_s: np.ndarray
     rho_hat: np.ndarray
+
+    @cached_property
+    def columns(self):
+        """All penalties in the column-block layout of the duals.
+
+        An (n+m) x (N+3) array: column 0 holds rho0 over zero padding,
+        columns 1..N+1 rho_hat and column N+2 rho_s. Built on first use,
+        which comes after :func:`validate_problem` has matched the shapes;
+        the three penalty arrays are not to be changed in place after that.
+        """
+        n = self.rho0.size
+        cols = np.zeros((self.rho_hat.shape[0], self.rho_hat.shape[1] + 2))
+        cols[:n, 0] = self.rho0
+        cols[:, 1:-1] = self.rho_hat
+        cols[:, -1] = self.rho_s
+        return cols
 
     def __post_init__(self):
         self.rho0 = np.atleast_1d(np.asarray(self.rho0, dtype=float)).ravel()

@@ -3,9 +3,16 @@
 All per-iteration work is matrix-free apart from the small dense gain of the
 artificial-reference subproblem and one LAPACK band solve; no horizon-sized
 matrix is ever formed. Horizon-indexed iterates live in
-column-block layout: one (n+m) column per prediction step.
+column-block layout: one (n+m) column per prediction step. Each solve
+allocates its scratch buffers once; the iterations write into them and into
+the iterates in place, with every element computed by the same
+floating-point expression as an allocating implementation would. At these
+array sizes a numpy call costs more than its arithmetic, so the stages call
+``np.add.reduce``, ``ndarray.clip`` and ``np.dot``, which cost less per call
+than ``np.sum``, ``np.clip`` and ``@`` and give the same results.
 """
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -15,8 +22,50 @@ from .errors import DimensionMismatch, NumericalBreakdown
 
 
 @dataclass
+class Scratch:
+    """Buffers that one solve's iterations write into instead of allocating.
+
+    ``zsum`` is z2 + z3 broadcast over the columns, as the last
+    :func:`compute_residual` left it; the next :func:`solve_qp1` reads it.
+    ``z2``/``z3`` receive the next iterates of :func:`solve_qp2` and
+    :func:`solve_qp3`, which then swap them with the state's, so the
+    previous iterates stay readable for :func:`dual_residual`. The rest are
+    work space reused across the stages: ``q3`` and ``work`` have the shape
+    of z3, ``wide`` that of the duals, ``prod`` holds (n+m) x N matrix
+    products, ``rhs`` the band solve's right-hand side (one row per block,
+    the layout ``dpbtrs`` reads) and ``vec`` three (n+m)-vectors.
+    """
+
+    zsum: np.ndarray
+    z2: np.ndarray
+    z3: np.ndarray
+    q3: np.ndarray
+    work: np.ndarray
+    wide: np.ndarray
+    prod: np.ndarray
+    rhs: np.ndarray
+    vec: np.ndarray
+
+
+def new_scratch(n, m, N):
+    """Scratch buffers for the given dimensions; ``zsum`` starts at zero."""
+    nm = n + m
+    return Scratch(
+        zsum=np.zeros((nm, N + 1)),
+        z2=np.empty(nm),
+        z3=np.empty((nm, N + 1)),
+        q3=np.empty((nm, N + 1)),
+        work=np.empty((nm, N + 1)),
+        wide=np.empty((nm, N + 3)),
+        prod=np.empty((nm, N)),
+        rhs=np.empty((N, n)),
+        vec=np.empty((3, nm)),
+    )
+
+
+@dataclass
 class SolverState:
-    """Iterates of the three-block splitting.
+    """Iterates of the three-block splitting, and their scratch buffers.
 
     z1: trajectory block, column j holds (x_j, u_j).
     z2: artificial reference (xs, us).
@@ -24,6 +73,9 @@ class SolverState:
     lambda_/gamma: duals and equality residual; column 0 is the initial-state
     constraint (last m entries are structural padding and stay zero), columns
     1..N+1 the congruence constraints, column N+2 the terminal equalities.
+    scratch: see :class:`Scratch`; :func:`eadmm_step` expects its ``zsum`` to
+    equal z2 + z3, which holds for a cold start and which
+    :func:`eadmm_solve` sets on entry.
     """
 
     z1: np.ndarray
@@ -31,6 +83,7 @@ class SolverState:
     z3: np.ndarray
     lam: np.ndarray
     gamma: np.ndarray
+    scratch: Scratch = field(repr=False)
     iterations: int = 0
 
 
@@ -44,7 +97,9 @@ class SolveResult:
     point is near-optimal, not only feasible. Under the default exit test the
     two flags agree; under the paper's primal-only test a converged solve can
     be uncertified. ``dual_residual`` is the value at the last iteration that
-    passed the primal test, NaN when none did.
+    passed the primal test, NaN when none did. The arrays are the solve's
+    state's own: a later solve that continues from the same state object as
+    ``initial`` writes over them, one from :func:`warmstart_predict` does not.
     """
 
     z1: np.ndarray
@@ -70,26 +125,32 @@ def cold_start(n, m, N):
         z3=np.zeros((nm, N + 1)),
         lam=np.zeros((nm, N + 3)),
         gamma=np.zeros((nm, N + 3)),
+        scratch=new_scratch(n, m, N),
     )
 
 
 def solve_qp1(state, offline, rho, x):
     """Update the trajectory block: componentwise clip of the diagonal QP optimum.
 
-    The negated linear term is assembled columnwise from the congruence
-    penalties, the initial-state penalty (first column) and the terminal
-    penalties (last column), then clipped against the per-stage boxes in
-    one call; no matrix products are involved.
+    The negated linear term is assembled columnwise in z1 from the congruence
+    penalties (on ``scratch.zsum``), the initial-state penalty (first
+    column) and the terminal penalties (last column), then clipped against
+    the per-stage boxes in place; no matrix products are involved.
     """
     n, N = offline.n, offline.N
-    z2, lam = state.z2, state.lam
-    v = rho.rho_hat * (z2[:, None] + state.z3) + lam[:, 1 : N + 2]
-    v[:, 0] -= lam[:, 0]
-    v[:n, 0] += rho.rho0 * x
-    v[:, N] += rho.rho_s * z2 + lam[:, N + 2]
+    lam, vec = state.lam, state.scratch.vec
+    v = np.multiply(rho.rho_hat, state.scratch.zsum, out=state.z1)
+    v += lam[:, 1 : N + 2]
+    first = v[:, 0]
+    first -= lam[:, 0]
+    head = v[:n, 0]
+    head += np.multiply(rho.rho0, x, out=vec[0, :n])
+    terminal = np.multiply(rho.rho_s, state.z2, out=vec[1])
+    terminal += lam[:, N + 2]
+    last = v[:, N]
+    last += terminal
     v *= offline.H1_inv
-    np.clip(v, offline.z1_lb, offline.z1_ub, out=state.z1)
-    return state.z1
+    return v.clip(offline.z1_lb, offline.z1_ub, out=v)
 
 
 def solve_qp2(state, offline, rho, ts_r):
@@ -97,11 +158,17 @@ def solve_qp2(state, offline, rho, ts_r):
 
     ``ts_r`` is the reference weighted by the offset cost, diag(T, S) r.
     """
-    z1 = state.z1
-    q2 = np.sum(rho.rho_hat * (state.z3 - z1), axis=1) + np.sum(state.lam[:, 1:], axis=1)
-    q2 -= rho.rho_s * z1[:, offline.N] + ts_r
-    state.z2 = offline.M2 @ q2
-    return state.z2
+    z1, sc = state.z1, state.scratch
+    w = np.subtract(state.z3, z1, out=sc.work)
+    w *= rho.rho_hat
+    q2 = np.add.reduce(w, axis=1, out=sc.vec[0])
+    q2 += np.add.reduce(state.lam[:, 1:], axis=1, out=sc.vec[1])
+    tail = np.multiply(rho.rho_s, z1[:, offline.N], out=sc.vec[1])
+    tail += ts_r
+    q2 -= tail
+    z2 = np.dot(offline.M2, q2, out=sc.z2)
+    sc.z2, state.z2 = state.z2, z2
+    return z2
 
 
 def banded_forward_backward(band, c):
@@ -109,10 +176,11 @@ def banded_forward_backward(band, c):
 
     ``band`` is the LAPACK upper band storage of :func:`offline.cholesky_band`;
     one ``dpbtrs`` call does the forward and the backward substitution.
-    ``c`` has one n-column per block.
+    ``c`` has one n-column per block. When ``c`` is Fortran-contiguous, as
+    :func:`solve_qp3` lays it out, the solution overwrites it.
     """
     n, N = c.shape
-    z, _ = dpbtrs(band, c.ravel(order="F"))
+    z, _ = dpbtrs(band, c.ravel(order="F"), overwrite_b=1)
     return z.reshape(N, n).T
 
 
@@ -122,27 +190,35 @@ def solve_qp3(state, offline, rho, AB):
     ``AB`` is the horizontally stacked prediction model [A B].
     """
     n, N = offline.n, offline.N
-    z1, z2, lam = state.z1, state.z2, state.lam
-    q3 = rho.rho_hat * (z2[:, None] - z1) + lam[:, 1 : N + 2]
-    t = offline.H3_inv * q3
-    c = t[:n, 1:] - AB @ t[:, :N]
+    z1, sc = state.z1, state.scratch
+    q3 = np.subtract(state.z2[:, None], z1, out=sc.q3)
+    q3 *= rho.rho_hat
+    q3 += state.lam[:, 1 : N + 2]
+    t = np.multiply(offline.H3_inv, q3, out=sc.work)
+    c = np.subtract(t[:n, 1:], np.dot(AB, t[:, :N], out=sc.prod[:n]), out=sc.rhs.T)
     mu = banded_forward_backward(offline.band, c)
-    q3[:, :N] += AB.T @ mu
-    q3[:n, 1:] -= mu
-    state.z3 = -offline.H3_inv * q3
-    return state.z3
+    head = q3[:, :N]
+    head += np.dot(AB.T, mu, out=sc.prod)
+    tail = q3[:n, 1:]
+    tail -= mu
+    z3 = np.multiply(offline.neg_H3_inv, q3, out=sc.z3)
+    sc.z3, state.z3 = state.z3, z3
+    return z3
 
 
 def compute_residual(state, offline, x):
-    """Equality-constraint residual in column-block layout and its inf-norm."""
+    """Equality-constraint residual in column-block layout and its inf-norm.
+
+    Also leaves z2 + z3 in ``scratch.zsum`` for the next :func:`solve_qp1`.
+    """
     n, N = offline.n, offline.N
-    g = state.gamma
-    g[:n, 0] = state.z1[:n, 0] - x
+    z1, z2, g, sc = state.z1, state.z2, state.gamma, state.scratch
+    zsum = np.add(z2[:, None], state.z3, out=sc.zsum)
+    np.subtract(z1[:n, 0], x, out=g[:n, 0])
     g[n:, 0] = 0.0
-    g[:, 1 : N + 2] = state.z2[:, None] + state.z3 - state.z1
-    g[:, N + 2] = state.z2 - state.z1[:, N]
-    res = float(np.max(np.abs(g)))
-    return g, res
+    np.subtract(zsum, z1, out=g[:, 1 : N + 2])
+    np.subtract(z2, z1[:, N], out=g[:, N + 2])
+    return g, float(np.abs(g, out=sc.wide).max())
 
 
 def dual_residual(z2_prev, z3_prev, state, rho):
@@ -152,39 +228,42 @@ def dual_residual(z2_prev, z3_prev, state, rho):
     the coupling constraints, block 1 misses stationarity by A1' rho D and
     block 2 by A2' rho A3 dz3 (Boyd et al. 2011, section 3.3, with three
     blocks); block 3 is exactly stationary after the dual update. Both are
-    assembled columnwise from the iterate change and the penalties. Returns
-    the larger inf-norm.
+    assembled columnwise from the iterate change and the penalties, in the
+    state's scratch buffers. Returns the larger inf-norm.
     """
-    rh = rho.rho_hat
-    dz2 = state.z2 - z2_prev
-    wdz3 = rh * (state.z3 - z3_prev)
-    s1 = rh * dz2[:, None] + wdz3
-    s1[:, -1] += rho.rho_s * dz2
-    s2 = np.sum(wdz3, axis=1)
-    return max(float(np.max(np.abs(s1))), float(np.max(np.abs(s2))))
+    rh, sc = rho.rho_hat, state.scratch
+    dz2 = np.subtract(state.z2, z2_prev, out=sc.vec[0])
+    wdz3 = np.subtract(state.z3, z3_prev, out=sc.work)
+    wdz3 *= rh
+    s1 = np.multiply(rh, dz2[:, None], out=sc.q3)
+    s1 += wdz3
+    last = s1[:, -1]
+    last += np.multiply(rho.rho_s, dz2, out=sc.vec[1])
+    s2 = np.add.reduce(wdz3, axis=1, out=sc.vec[2])
+    return max(float(np.abs(s1, out=s1).max()), float(np.abs(s2, out=s2).max()))
 
 
 def update_duals(state, rho):
-    """Gradient-ascent dual update with the componentwise penalty."""
-    n = rho.rho0.size
-    N = rho.rho_hat.shape[1] - 1
-    state.lam[:n, 0] += rho.rho0 * state.gamma[:n, 0]
-    state.lam[:, 1 : N + 2] += rho.rho_hat * state.gamma[:, 1 : N + 2]
-    state.lam[:, N + 2] += rho.rho_s * state.gamma[:, N + 2]
-    return state.lam
+    """Gradient-ascent dual update with the componentwise penalty, in place."""
+    lam = state.lam
+    lam += np.multiply(rho.columns, state.gamma, out=state.scratch.wide)
+    return lam
 
 
 def linear_terms(problem, r):
     """Per-solve constants of the iteration: diag(T, S) r and [A B]."""
     n = problem.n
-    ts_r = np.concatenate([problem.costs.T @ r[:n], problem.costs.S @ r[n:]])
-    AB = np.hstack([problem.model.A, problem.model.B])
+    ts_r = np.empty(n + problem.m)
+    np.dot(problem.costs.T, r[:n], out=ts_r[:n])
+    np.dot(problem.costs.S, r[n:], out=ts_r[n:])
+    AB = np.concatenate((problem.model.A, problem.model.B), axis=1)
     return ts_r, AB
 
 
 def eadmm_step(state, offline, rho, x, ts_r, AB):
     """One extended-ADMM iteration in place; returns the primal residual.
 
+    Expects ``state.scratch.zsum`` to hold z2 + z3 (see :class:`SolverState`).
     The stages are called through module globals, so replacing one at module
     level (as a tracer does) takes effect here.
     """
@@ -208,9 +287,10 @@ def eadmm_solve(offline, problem, x, r, initial=None):
     result's ``certified`` flag says whether both residuals were within
     ``epsilon`` at exit.
 
-    Returns a :class:`SolveResult`; non-convergence is reported through the
-    ``converged`` flag, not an exception. Offline data, an initial state or
-    vectors whose dimensions do not match the problem raise
+    The iterations write into the state's scratch buffers; none allocates
+    array storage. Returns a :class:`SolveResult`; non-convergence is reported
+    through the ``converged`` flag, not an exception. Offline data, an
+    initial state or vectors whose dimensions do not match the problem raise
     :class:`DimensionMismatch`; a non-finite residual aborts with
     :class:`NumericalBreakdown`.
     """
@@ -235,15 +315,17 @@ def eadmm_solve(offline, problem, x, r, initial=None):
     shapes = [a.shape for a in (state.z1, state.z2, state.z3, state.lam, state.gamma)]
     if shapes != [(nm, N + 1), (nm,), (nm, N + 1), (nm, N + 3), (nm, N + 3)]:
         raise DimensionMismatch(f"initial state shapes {shapes} do not fit {(n, m, N)}")
+    np.add(state.z2[:, None], state.z3, out=state.scratch.zsum)
     ts_r, AB = linear_terms(problem, r)
     converged = False
-    res = np.inf
-    dual = float("nan")
+    res = math.inf
+    dual = math.nan
     for _ in range(max_iter):
-        # eadmm_step replaces z2 and z3, so these stay the old iterates.
+        # eadmm_step swaps z2 and z3 with their scratch buffers, so these
+        # stay the old iterates until the next step.
         z2_prev, z3_prev = state.z2, state.z3
         res = eadmm_step(state, offline, rho, x, ts_r, AB)
-        if not np.isfinite(res):
+        if not math.isfinite(res):
             raise NumericalBreakdown(
                 f"non-finite residual at iteration {state.iterations}"
             )
@@ -280,12 +362,14 @@ def warmstart_predict(prev, gain, x_prev, x_next):
     n = gain.P_z3_head.shape[0]
     if x_prev.shape != (n,) or x_next.shape != (n,):
         raise DimensionMismatch(f"states must have shape ({n},)")
+    nm, cols = prev.z1.shape
     state = SolverState(
         z1=prev.z1.copy(),
         z2=prev.z2.copy(),
         z3=prev.z3.copy(),
         lam=prev.lam.copy(),
         gamma=np.zeros_like(prev.lam),
+        scratch=new_scratch(n, nm - n, cols - 1),
     )
     dx = x_next - x_prev
     state.z2 -= gain.P_z2 @ dx

@@ -143,11 +143,14 @@ def test_compare(config_path, capsys):
     assert report["trials"] == 3
 
 
-def test_compare_no_trials(config_path, capsys):
-    code = cli.main(["compare", "--config", config_path, "--trials", "0"])
-    report = json.loads(capsys.readouterr().out)
-    assert code == 0
-    assert report["max_deviation"] == 0.0
+def test_compare_rejects_trials_below_one(config_path, capsys):
+    """No trial or no iteration is no check, so it cannot pass one."""
+    for flag, value in (("--trials", "0"), ("--trials", "-3"), ("--iterations", "0")):
+        code = cli.main(["compare", "--config", config_path, flag, value])
+        captured = capsys.readouterr()
+        assert code == 1, (flag, value)
+        assert captured.out == ""
+        assert f"config error: {flag}:" in captured.err
 
 
 def test_compare_corrupted_artifact(tmp_path, config_path, capsys):
@@ -209,3 +212,35 @@ def test_bad_document_values_exit_code(tmp_path, capsys):
         for command in ("solve", "simulate", "compare"):
             assert cli.main([command, "--config", path]) == 1, (key, command)
             assert f"config error: {key}:" in capsys.readouterr().err, (key, command)
+
+
+def test_non_finite_state_or_reference_exit_code(tmp_path, capsys):
+    for key, mutate in (
+        ("sim.x0", lambda d: d["sim"].update(x0=[float("nan"), 0.0, 0.0])),
+        ("sim.x0", lambda d: d["sim"].update(x0=[0.0, float("-inf"), 0.0])),
+        ("reference", lambda d: d.update(reference=[float("nan"), 0.0, 0.0, 0.0])),
+        ("reference", lambda d: d.update(reference=[0.0, 0.0, float("inf"), 0.0])),
+    ):
+        path = write_config(tmp_path, mutate)
+        for command in ("solve", "simulate", "compare"):
+            assert cli.main([command, "--config", path]) == 1, (key, command)
+            assert f"config error: {key}:" in capsys.readouterr().err, (key, command)
+
+
+def test_output_must_be_a_file_name(tmp_path, capsys):
+    """An integer output would be taken for a file descriptor by open()."""
+    for value in (7, 1, ["a.csv"], True):
+        path = write_config(tmp_path, lambda d: d.update(output=value))
+        for command in ("simulate", "precompute"):
+            assert cli.main([command, "--config", path]) == 1, (value, command)
+            captured = capsys.readouterr()
+            assert "config error: output:" in captured.err, (value, command)
+            assert captured.out == ""
+    out = tmp_path / "run.csv"
+
+    def short_run(doc):
+        doc["sim"]["steps"] = 3
+        doc["output"] = str(out)
+
+    assert cli.main(["simulate", "--config", write_config(tmp_path, short_run)]) == 0
+    assert len(read_csv(out)) == 4

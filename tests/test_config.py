@@ -86,6 +86,31 @@ def test_x0_and_reference_shapes():
     assert "reference" in str(exc.value)
 
 
+def test_x0_and_reference_must_be_finite():
+    for key, value in (("sim.x0", float("nan")), ("reference", float("inf"))):
+        for bad in (value, -value):
+            doc = default_pendulum_config()
+            target = doc["sim"]["x0"] if key == "sim.x0" else doc["reference"]
+            target[1] = bad
+            with pytest.raises(ConfigError) as exc:
+                parse_config(doc)
+            assert exc.value.field == key
+
+
+def test_output_key_type():
+    doc = default_pendulum_config()
+    assert parse_config(doc).output is None
+    doc["output"] = "run.csv"
+    assert parse_config(doc).output == "run.csv"
+    doc["output"] = None
+    assert parse_config(doc).output is None
+    for bad in (7, 1.5, ["run.csv"], {"path": "run.csv"}, False):
+        doc["output"] = bad
+        with pytest.raises(ConfigError) as exc:
+            parse_config(doc)
+        assert exc.value.field == "output"
+
+
 def test_load_config_errors(tmp_path):
     with pytest.raises(ConfigError):
         load_config(tmp_path / "missing.json")

@@ -1,11 +1,13 @@
 """Online iteration tests: each sparse operation against dense algebra."""
 
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from scipy.linalg.lapack import dpbtrs
 
-from mpct_eadmm import dense
+from mpct_eadmm import dense, solver
 from mpct_eadmm.errors import DimensionMismatch, NumericalBreakdown
 from mpct_eadmm.solver import (
     banded_forward_backward,
@@ -13,10 +15,13 @@ from mpct_eadmm.solver import (
     compute_residual,
     dual_residual,
     eadmm_solve,
+    eadmm_step,
+    linear_terms,
     solve_qp1,
     solve_qp2,
     solve_qp3,
     update_duals,
+    warmstart_predict,
 )
 from mpct_eadmm.offline import build_offline, cholesky_band, factor_block_tridiagonal
 from mpct_eadmm.pendulum import pendulum_problem
@@ -36,6 +41,7 @@ def random_state(rng, problem):
     state.z3 = rng.standard_normal(state.z3.shape)
     state.lam = rng.standard_normal(state.lam.shape)
     state.lam[problem.n :, 0] = 0.0
+    state.scratch.zsum[:] = state.z2[:, None] + state.z3
     return state
 
 
@@ -149,8 +155,10 @@ def test_qp3_matches_dense_kkt(problem, offline):
 def test_banded_forward_backward_identity():
     band = cholesky_band(np.zeros((3, 2, 2)), np.stack([np.eye(2)] * 4))
     c = np.arange(8, dtype=float).reshape(2, 4, order="F")
-    z = banded_forward_backward(band, c)
+    rhs = c.copy(order="F")
+    z = banded_forward_backward(band, rhs)
     np.testing.assert_allclose(z, c, atol=1e-15)
+    assert np.shares_memory(z, rhs)  # a Fortran-ordered right-hand side is solved in place
 
 
 def test_banded_forward_backward_small_tridiagonal():
@@ -318,3 +326,177 @@ def test_eadmm_solve_numerical_breakdown(problem, offline):
     state.z2[:] = np.nan
     with pytest.raises(NumericalBreakdown):
         eadmm_solve(offline, problem, np.zeros(3), np.zeros(4), initial=state)
+
+
+# Reference step: the five stage bodies written plainly, with a fresh
+# temporary for every operation. The scratch version must reproduce them
+# bit for bit.
+def reference_step(ref, offline, rho, x, ts_r, AB):
+    n, N = offline.n, offline.N
+    # solve_qp1
+    z2, lam = ref.z2, ref.lam
+    v = rho.rho_hat * (z2[:, None] + ref.z3) + lam[:, 1 : N + 2]
+    v[:, 0] -= lam[:, 0]
+    v[:n, 0] += rho.rho0 * x
+    v[:, N] += rho.rho_s * z2 + lam[:, N + 2]
+    v *= offline.H1_inv
+    np.clip(v, offline.z1_lb, offline.z1_ub, out=ref.z1)
+    # solve_qp2
+    z1 = ref.z1
+    q2 = np.sum(rho.rho_hat * (ref.z3 - z1), axis=1) + np.sum(lam[:, 1:], axis=1)
+    q2 -= rho.rho_s * z1[:, N] + ts_r
+    ref.z2 = offline.M2 @ q2
+    # solve_qp3
+    q3 = rho.rho_hat * (ref.z2[:, None] - z1) + lam[:, 1 : N + 2]
+    t = offline.H3_inv * q3
+    c = t[:n, 1:] - AB @ t[:, :N]
+    mu, _ = dpbtrs(offline.band, c.ravel(order="F"))
+    mu = mu.reshape(N, n).T
+    q3[:, :N] += AB.T @ mu
+    q3[:n, 1:] -= mu
+    ref.z3 = -offline.H3_inv * q3
+    # compute_residual
+    g = ref.gamma
+    g[:n, 0] = z1[:n, 0] - x
+    g[n:, 0] = 0.0
+    g[:, 1 : N + 2] = ref.z2[:, None] + ref.z3 - z1
+    g[:, N + 2] = ref.z2 - z1[:, N]
+    res = float(np.max(np.abs(g)))
+    # update_duals
+    lam[:n, 0] += rho.rho0 * g[:n, 0]
+    lam[:, 1 : N + 2] += rho.rho_hat * g[:, 1 : N + 2]
+    lam[:, N + 2] += rho.rho_s * g[:, N + 2]
+    return res
+
+
+def reference_dual_residual(z2_prev, z3_prev, ref, rho):
+    rh = rho.rho_hat
+    dz2 = ref.z2 - z2_prev
+    wdz3 = rh * (ref.z3 - z3_prev)
+    s1 = rh * dz2[:, None] + wdz3
+    s1[:, -1] += rho.rho_s * dz2
+    s2 = np.sum(wdz3, axis=1)
+    return max(float(np.max(np.abs(s1))), float(np.max(np.abs(s2))))
+
+
+ITERATES = ("z1", "z2", "z3", "lam", "gamma")
+
+
+def assert_steps_match_reference(problem, offline, state, x, r, iterations=200):
+    """Step ``state`` and a copy through the reference; compare every iteration."""
+    ts_r, AB = linear_terms(problem, r)
+    state.scratch.zsum[:] = state.z2[:, None] + state.z3  # as eadmm_solve does on entry
+    ref = SimpleNamespace(**{name: getattr(state, name).copy() for name in ITERATES})
+    for k in range(iterations):
+        prev, ref_prev = (state.z2, state.z3), (ref.z2, ref.z3)
+        res = eadmm_step(state, offline, problem.rho, x, ts_r, AB)
+        assert res == reference_step(ref, offline, problem.rho, x, ts_r, AB), k
+        for name in ITERATES:
+            got, want = getattr(state, name), getattr(ref, name)
+            assert got.shape == want.shape and got.tobytes() == want.tobytes(), (name, k)
+        dual = dual_residual(*prev, state, problem.rho)
+        assert dual == reference_dual_residual(*ref_prev, ref, problem.rho), k
+    assert state.iterations == iterations
+
+
+def random_problem(rng, n, m, N):
+    """A seeded random problem with a stable A and a zero lower input bound."""
+
+    def spd(k):
+        M = rng.standard_normal((k, k))
+        return M @ M.T + 0.1 * np.eye(k)
+
+    G = rng.standard_normal((n, n))
+    model = SystemModel(
+        A=0.95 * G / np.abs(np.linalg.eigvals(G)).max(),
+        B=rng.standard_normal((n, m)),
+        x_lb=-rng.uniform(0.5, 2.0, n),
+        x_ub=rng.uniform(0.5, 2.0, n),
+        u_lb=np.concatenate([[0.0], -rng.uniform(0.5, 2.0, m - 1)]),
+        u_ub=rng.uniform(0.5, 2.0, m),
+    )
+    costs = CostWeights(
+        Q_diag=rng.uniform(0.1, 10, n), R_diag=rng.uniform(0.1, 10, m), T=spd(n), S=spd(m)
+    )
+    config = MpctConfig(N=N, max_iter=2000)
+    rho = build_rho(model, config, rng.uniform(0.5, 20), rng.uniform(20, 1000))
+    return validate_problem(model, costs, config, rho)
+
+
+def match_cases():
+    """(problem, x, x_next, r): the pendulum at three horizons and random problems."""
+    cases = []
+    for N in (2, 12, 100):
+        problem = pendulum_problem(N=N)
+        r = np.array([0.0, 0.0, 0.5, 0.0]) if N == 12 else np.zeros(4)
+        cases.append((problem, np.array([0.1, -0.2, 1.0]), np.array([0.12, -0.25, 0.97]), r))
+    rng = np.random.default_rng(31)
+    dims = [(3, 1, 2), (1, 3, 5), (2, 3, 4), (2, 2, 9)]
+    dims += [
+        (int(rng.integers(1, 5)), int(rng.integers(1, 5)), int(rng.integers(2, 12)))
+        for _ in range(2)
+    ]
+    for n, m, N in dims:
+        problem = random_problem(rng, n, m, N)
+        x = 0.5 * problem.model.x_ub * rng.uniform(-1, 1, n)
+        x_next = x + 0.05 * rng.standard_normal(n)
+        cases.append((problem, x, x_next, rng.standard_normal(n + m)))
+    return cases
+
+
+@pytest.mark.parametrize("case", range(9))
+def test_iterates_bit_identical_to_reference_step(case):
+    """Cold and warm starts; z1, z2, z3, lambda, gamma, both residuals, every iteration."""
+    problem, x, x_next, r = match_cases()[case]
+    n, m, N = problem.n, problem.m, problem.N
+    offline = build_offline(problem)
+    assert_steps_match_reference(problem, offline, cold_start(n, m, N), x, r)
+    prev = eadmm_solve(offline, problem, x, r)
+    warm = warmstart_predict(prev, offline.warmstart, x, x_next)
+    assert warm.z1.any() and warm.lam.any()
+    assert_steps_match_reference(problem, offline, warm, x_next, r)
+
+
+STAGES = (
+    "solve_qp1",
+    "solve_qp2",
+    "solve_qp3",
+    "banded_forward_backward",
+    "compute_residual",
+    "update_duals",
+)
+
+
+def test_eadmm_step_calls_each_stage_once_through_module_globals(problem, offline, monkeypatch):
+    """A tracer that replaces a stage at module level sees every call."""
+    counts = dict.fromkeys(STAGES, 0)
+    for name in STAGES:
+
+        def counted(*args, _name=name, _fn=getattr(solver, name)):
+            counts[_name] += 1
+            return _fn(*args)
+
+        monkeypatch.setattr(solver, name, counted)
+    capped = validate_problem(
+        problem.model, problem.costs, MpctConfig(N=12, epsilon=1e-12, max_iter=25), problem.rho
+    )
+    result = eadmm_solve(offline, capped, np.array([0.1, -0.2, 1.0]), np.zeros(4))
+    assert result.iterations == 25 and not result.converged
+    assert counts == dict.fromkeys(STAGES, 25)
+
+
+def test_solve_result_unchanged_by_later_solves(problem, offline):
+    x, r = np.array([0.1, -0.2, 1.0]), np.zeros(problem.n + problem.m)
+    first = eadmm_solve(offline, problem, x, r)
+    names = ("z1", "z2", "z3", "lam", "u0", "xs_us")
+    kept = {name: getattr(first, name).copy() for name in names}
+    x_next = np.array([0.12, -0.25, 0.97])
+    warm = eadmm_solve(
+        offline, problem, x_next, r, warmstart_predict(first, offline.warmstart, x, x_next)
+    )
+    eadmm_solve(offline, problem, -x, r)
+    again = eadmm_solve(offline, problem, x, r)
+    for name in names:
+        assert np.array_equal(getattr(first, name), kept[name]), name
+        assert np.array_equal(getattr(again, name), kept[name]), name
+        assert not np.shares_memory(getattr(first, name), getattr(warm, name)), name
