@@ -13,6 +13,7 @@ from .errors import (
     EmptyBox,
     FactorizationFailure,
     HorizonTooShort,
+    MissingWarmstartGain,
     MpctError,
     NonPositiveWeight,
     NumericalBreakdown,
@@ -54,6 +55,7 @@ __all__ = [
     "EmptyBox",
     "FactorizationFailure",
     "HorizonTooShort",
+    "MissingWarmstartGain",
     "MpctConfig",
     "MpctError",
     "NonPositiveWeight",

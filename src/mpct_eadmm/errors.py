@@ -37,6 +37,10 @@ class NumericalBreakdown(MpctError):
     """A non-finite value appeared in the solver iterates."""
 
 
+class MissingWarmstartGain(MpctError):
+    """Warmstarting was asked of offline data built without the warmstart gain."""
+
+
 class SingularConfiguration(MpctError):
     """Pendulum dynamics evaluated at a configuration with vanishing denominator."""
 

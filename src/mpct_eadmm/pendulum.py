@@ -7,12 +7,13 @@ numerical conditioning, and the computed input is unscaled before being
 applied to the plant.
 """
 
+import math
 import time
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NumericalBreakdown, SingularConfiguration
+from .errors import MissingWarmstartGain, NumericalBreakdown, SingularConfiguration
 from .problem import CostWeights, MpctConfig, SystemModel, build_rho, validate_problem
 from .solver import cold_start, eadmm_solve, warmstart_predict
 
@@ -100,34 +101,53 @@ class Trajectory:
     aborted: bool = False
 
 
-def dynamics(state, u, params):
-    """Time derivative of (phi, phi_dot, theta_dot) for commanded theta_ddot."""
-    phi, phi_dot, _ = state
-    p = params
-    den = p.I_yy + p.M_body * p.wheel_radius * p.L * np.cos(phi)
+def _coefficients(p):
+    """Parameter products of the dynamics, each in the order it multiplies."""
+    mrl = p.M_body * p.wheel_radius * p.L
+    return p.I_yy, mrl, p.M_body * p.g * p.L, p.wheel_radius**2 * (3 * p.m_r + p.M_body)
+
+
+def _phi_ddot(phi, phi_dot, u, coefficients):
+    """Body angular acceleration on Python floats; the one formula of the plant."""
+    inertia, mrl, mgl, wheel = coefficients
+    cos_phi, sin_phi = math.cos(phi), math.sin(phi)
+    den = inertia + mrl * cos_phi
     if abs(den) < 1e-12:
         raise SingularConfiguration(f"dynamics denominator {den:.3e} at phi={phi:.6f}")
-    num = (
-        p.M_body * p.wheel_radius * p.L * phi_dot**2 * np.sin(phi)
-        + p.M_body * p.g * p.L * np.sin(phi)
-        - (p.wheel_radius**2 * (3 * p.m_r + p.M_body) + p.M_body * p.wheel_radius * p.L * np.cos(phi))
-        * u
-    )
-    return np.array([phi_dot, num / den, u])
+    return (mrl * phi_dot**2 * sin_phi + mgl * sin_phi - (wheel + mrl * cos_phi) * u) / den
+
+
+def dynamics(state, u, params):
+    """Time derivative of (phi, phi_dot, theta_dot) for commanded theta_ddot."""
+    phi, phi_dot, _ = (float(v) for v in state)
+    u = float(u)
+    return np.array([phi_dot, _phi_ddot(phi, phi_dot, u, _coefficients(params)), u])
 
 
 def rk4_step(state, u, Ts, substeps, params):
-    """Classical fourth-order Runge-Kutta with zero-order-hold input."""
+    """Classical fourth-order Runge-Kutta with zero-order-hold input.
+
+    Runs on Python floats: at three states a numpy call costs far more than
+    its arithmetic. Each stage evaluates the same expressions, in the same
+    order, as the vector form x + h k with k = :func:`dynamics`.
+    """
     h = Ts / substeps
-    x = np.asarray(state, dtype=float).copy()
+    half, sixth = 0.5 * h, h / 6.0
+    phi, phi_dot, theta_dot = np.asarray(state, dtype=float).tolist()
     u = float(np.asarray(u).ravel()[0])
+    c = _coefficients(params)
     for _ in range(substeps):
-        k1 = dynamics(x, u, params)
-        k2 = dynamics(x + 0.5 * h * k1, u, params)
-        k3 = dynamics(x + 0.5 * h * k2, u, params)
-        k4 = dynamics(x + h * k3, u, params)
-        x = x + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-    return x
+        a1 = _phi_ddot(phi, phi_dot, u, c)
+        p2, v2 = phi + half * phi_dot, phi_dot + half * a1
+        a2 = _phi_ddot(p2, v2, u, c)
+        p3, v3 = phi + half * v2, phi_dot + half * a2
+        a3 = _phi_ddot(p3, v3, u, c)
+        p4, v4 = phi + h * v3, phi_dot + h * a3
+        a4 = _phi_ddot(p4, v4, u, c)
+        phi = phi + sixth * (phi_dot + 2 * v2 + 2 * v3 + v4)
+        phi_dot = phi_dot + sixth * (a1 + 2 * a2 + 2 * a3 + a4)
+        theta_dot = theta_dot + sixth * (u + 2 * u + 2 * u + u)
+    return np.array([phi, phi_dot, theta_dot])
 
 
 def scale_state(state, scale):
@@ -166,7 +186,14 @@ def closed_loop(
     started, or warmstarted from the previous solution after the first step),
     the first input is unscaled and applied, and the plant is integrated over
     one sample period. A solver breakdown aborts with the partial trajectory.
+    Warmstarting from offline data built without the warmstart gain raises
+    :class:`MissingWarmstartGain` before the first step.
     """
+    if warmstart and offline.warmstart is None:
+        raise MissingWarmstartGain(
+            "warmstart needs the warmstart gain, but the offline data was built "
+            "without it; rebuild it with the gain or run without warmstart"
+        )
     if params is None:
         params = PendulumParams()
     n, m = problem.n, problem.m

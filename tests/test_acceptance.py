@@ -223,7 +223,8 @@ def test_criterion_7_banded_solver_property_suite():
                 W[(k + 1) * n : (k + 2) * n, k * n : (k + 1) * n] = off[k].T
         alphas, beta_hats = factor_block_tridiagonal(diag, off)
         c = rng.standard_normal((n, N))
-        z = banded_forward_backward(cholesky_band(alphas, beta_hats), c.copy())
+        flat = c.flatten(order="F")  # overwritten by the solution
+        z = banded_forward_backward(cholesky_band(alphas, beta_hats), flat).reshape(n, N, order="F")
         ref = np.linalg.solve(W, c.flatten(order="F")).reshape(n, N, order="F")
         rel = np.abs(z - ref).max() / max(1.0, np.abs(ref).max())
         worst = max(worst, rel)

@@ -7,7 +7,9 @@ import numpy as np
 import pytest
 
 from mpct_eadmm import cli
-from mpct_eadmm.config import default_pendulum_config
+from mpct_eadmm.artifact import save_offline
+from mpct_eadmm.config import default_pendulum_config, load_config
+from mpct_eadmm.offline import build_offline
 
 
 @pytest.fixture
@@ -243,4 +245,20 @@ def test_output_must_be_a_file_name(tmp_path, capsys):
         doc["output"] = str(out)
 
     assert cli.main(["simulate", "--config", write_config(tmp_path, short_run)]) == 0
+    assert len(read_csv(out)) == 4
+
+
+def test_simulate_warmstart_needs_the_gain(tmp_path, capsys):
+    """An artifact built without the warmstart gain cannot warmstart a simulation."""
+    cfg = write_config(tmp_path, lambda d: d["sim"].update(steps=3))
+    art = str(tmp_path / "nogain.mpct")
+    save_offline(build_offline(load_config(cfg).problem, with_warmstart=False), art)
+    out = tmp_path / "t.csv"
+    args = ["simulate", "--config", cfg, "--artifact", art, "--out", str(out)]
+    assert cli.main([*args, "--warmstart"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: warmstart needs the warmstart gain")
+    assert "Traceback" not in captured.err and captured.out == ""
+    assert not out.exists()
+    assert cli.main(args) == 0  # a cold-started simulation needs no gain
     assert len(read_csv(out)) == 4

@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from mpct_eadmm.errors import SingularConfiguration
+from mpct_eadmm.errors import MissingWarmstartGain, SingularConfiguration
+from mpct_eadmm.offline import build_offline
 from mpct_eadmm.pendulum import (
     PENDULUM_A,
     PENDULUM_B,
@@ -66,6 +67,63 @@ def test_rk4_fourth_order():
     assert err_coarse / err_fine >= 12.0
 
 
+# The numpy form of the plant that rk4_step replaced, kept as the reference
+# its Python-float form must reproduce byte for byte.
+def reference_dynamics(state, u, p):
+    phi, phi_dot, _ = state
+    den = p.I_yy + p.M_body * p.wheel_radius * p.L * np.cos(phi)
+    if abs(den) < 1e-12:
+        raise SingularConfiguration(f"dynamics denominator {den:.3e} at phi={phi:.6f}")
+    num = (
+        p.M_body * p.wheel_radius * p.L * phi_dot**2 * np.sin(phi)
+        + p.M_body * p.g * p.L * np.sin(phi)
+        - (p.wheel_radius**2 * (3 * p.m_r + p.M_body) + p.M_body * p.wheel_radius * p.L * np.cos(phi))
+        * u
+    )
+    return np.array([phi_dot, num / den, u])
+
+
+def reference_rk4_step(state, u, Ts, substeps, params):
+    h = Ts / substeps
+    x = np.asarray(state, dtype=float).copy()
+    u = float(np.asarray(u).ravel()[0])
+    for _ in range(substeps):
+        k1 = reference_dynamics(x, u, params)
+        k2 = reference_dynamics(x + 0.5 * h * k1, u, params)
+        k3 = reference_dynamics(x + 0.5 * h * k2, u, params)
+        k4 = reference_dynamics(x + h * k3, u, params)
+        x = x + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+    return x
+
+
+def test_rk4_bytes_match_numpy_reference():
+    """1 200 seeded (state, u, substeps) on two robots, inputs as floats and arrays."""
+    rng = np.random.default_rng(17)
+    robots = (PendulumParams(), PendulumParams(m_r=0.2, M_body=2.5, wheel_radius=0.08, L=0.2))
+    for k in range(1200):
+        params = robots[k % 2]
+        state = np.array([rng.uniform(-1.5, 1.5), rng.uniform(-8, 8), rng.uniform(-80, 80)])
+        u = rng.uniform(-120, 120)
+        if k % 3 == 0:
+            u = np.array([u])  # as closed_loop passes the unscaled input
+        substeps = int(rng.integers(1, 13))
+        Ts = PENDULUM_TS if k % 5 else rng.uniform(0.001, 0.1)
+        got = rk4_step(state, u, Ts, substeps, params)
+        want = reference_rk4_step(state, u, Ts, substeps, params)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), k
+        d = dynamics(state, float(np.ravel(u)[0]), params)
+        assert d.tobytes() == reference_dynamics(state, float(np.ravel(u)[0]), params).tobytes(), k
+
+
+def test_rk4_singular_configuration_raises():
+    p = PendulumParams()
+    singular = PendulumParams(I_yy=p.M_body * p.wheel_radius * p.L)
+    with pytest.raises(SingularConfiguration, match="dynamics denominator"):
+        rk4_step(np.array([np.pi, 0.0, 0.0]), 0.0, PENDULUM_TS, 10, singular)
+    with pytest.raises(SingularConfiguration):
+        reference_rk4_step(np.array([np.pi, 0.0, 0.0]), 0.0, PENDULUM_TS, 10, singular)
+
+
 def test_scaling_round_trip():
     x = np.array([0.0, 0.0, 20.0])
     np.testing.assert_array_equal(scale_state(x, PENDULUM_SCALE), [0.0, 0.0, 1.0])
@@ -123,6 +181,15 @@ def test_closed_loop_zero_state_stays_zero(problem, offline):
     traj = closed_loop(problem, offline, SimConfig(steps=10), np.zeros(3), np.zeros(4))
     assert np.abs(traj.states).max() <= 1e-9
     assert np.abs(traj.inputs).max() <= 1e-9
+
+
+def test_warmstart_without_gain_is_a_typed_error(problem):
+    """Offline data built without the gain cannot warmstart; nothing is simulated."""
+    data = build_offline(problem, with_warmstart=False)
+    with pytest.raises(MissingWarmstartGain, match="warmstart gain"):
+        closed_loop(problem, data, SimConfig(steps=3), np.zeros(3), np.zeros(4), warmstart=True)
+    traj = closed_loop(problem, data, SimConfig(steps=3), np.zeros(3), np.zeros(4))
+    assert len(traj.inputs) == 3 and not traj.aborted
 
 
 def test_pendulum_problem_bounds():

@@ -154,11 +154,13 @@ def test_qp3_matches_dense_kkt(problem, offline):
 
 def test_banded_forward_backward_identity():
     band = cholesky_band(np.zeros((3, 2, 2)), np.stack([np.eye(2)] * 4))
-    c = np.arange(8, dtype=float).reshape(2, 4, order="F")
-    rhs = c.copy(order="F")
+    c = np.arange(8, dtype=float)
+    rhs = c.copy()
     z = banded_forward_backward(band, rhs)
     np.testing.assert_allclose(z, c, atol=1e-15)
-    assert np.shares_memory(z, rhs)  # a Fortran-ordered right-hand side is solved in place
+    assert np.shares_memory(z, rhs)  # a contiguous right-hand side is solved in place
+    with pytest.raises(DimensionMismatch, match="dpbtrs"):
+        banded_forward_backward(band, c.reshape(2, 4, order="F"))  # one column per block
 
 
 def test_banded_forward_backward_small_tridiagonal():
@@ -166,9 +168,9 @@ def test_banded_forward_backward_small_tridiagonal():
     alphas, beta_hats = factor_block_tridiagonal(
         [W[:1, :1], W[1:, 1:]], [W[:1, 1:]]
     )
-    c = np.array([[1.0, 0.0]])
+    c = np.array([1.0, 0.0])
     z = banded_forward_backward(cholesky_band(alphas, beta_hats), c)
-    np.testing.assert_allclose(z.ravel(), [2.0 / 3.0, 1.0 / 3.0], atol=1e-14)
+    np.testing.assert_allclose(z, [2.0 / 3.0, 1.0 / 3.0], atol=1e-14)
 
 
 def test_residual_matches_dense(problem, offline):
@@ -455,6 +457,74 @@ def test_iterates_bit_identical_to_reference_step(case):
     warm = warmstart_predict(prev, offline.warmstart, x, x_next)
     assert warm.z1.any() and warm.lam.any()
     assert_steps_match_reference(problem, offline, warm, x_next, r)
+
+
+def test_state_reuse_across_solves_matches_reference_step():
+    """Solves that continue one state, or a warm start from it, with new inputs.
+
+    The stages bind their views, rho0 * x and [A B]' once per state and
+    solve; every later solve here changes x and r, the warm start replaces
+    the arrays, one solve runs on a state whose z1, lambda and gamma a caller
+    replaced, and the last one on another problem of the same size (other A,
+    other penalties). Each must match the reference step byte for byte.
+    """
+    base = pendulum_problem(N=12)
+    n, m, N = base.n, base.m, base.N
+    config = MpctConfig(N=N, epsilon=1e-300, max_iter=40)
+    capped = validate_problem(base.model, base.costs, config, base.rho)
+    model = replace(base.model, A=0.9 * base.model.A)
+    other = validate_problem(model, base.costs, config, build_rho(model, config, 5.0, 200.0))
+    pendulum, changed = (capped, build_offline(capped)), (other, build_offline(other))
+    rng = np.random.default_rng(41)
+    cases = [(rng.uniform(-0.3, 0.3, n), rng.uniform(-1, 1, n + m)) for _ in range(6)]
+
+    def solve_and_check(state, x, r, ref, target=pendulum):
+        problem, offline = target
+        before = state.iterations
+        result = eadmm_solve(offline, problem, x, r, initial=state)
+        ts_r, AB = linear_terms(problem, r)
+        for _ in range(40):
+            res = reference_step(ref, offline, problem.rho, x, ts_r, AB)
+        assert result.iterations == before + 40 and not result.converged
+        assert result.residual_inf == res
+        for name in ITERATES:
+            assert getattr(state, name).tobytes() == getattr(ref, name).tobytes(), name
+        return result
+
+    def copied(state):
+        return SimpleNamespace(**{name: getattr(state, name).copy() for name in ITERATES})
+
+    state = cold_start(n, m, N)
+    ref = copied(state)
+    solve_and_check(state, *cases[0], ref)
+    result = solve_and_check(state, *cases[1], ref)
+    warm = warmstart_predict(result, pendulum[1].warmstart, cases[1][0], cases[2][0])
+    ref = copied(warm)
+    solve_and_check(warm, *cases[2], ref)
+    solve_and_check(warm, *cases[3], ref)
+    for name in ("z1", "lam", "gamma"):
+        setattr(warm, name, getattr(warm, name).copy())
+    solve_and_check(warm, *cases[4], ref)
+    solve_and_check(warm, *cases[5], ref, changed)
+
+
+def test_stages_called_directly_follow_their_arguments(problem, offline):
+    """The same x object with another rho, then another [A B], rebinds what they feed."""
+    n, m, N = problem.n, problem.m, problem.N
+    x = np.array([0.1, -0.2, 1.0])
+    AB = np.hstack([problem.model.A, problem.model.B])
+    other_rho = build_rho(problem.model, problem.config, 5.0, 200.0)
+    reused = cold_start(n, m, N)
+    for rho, ab in ((problem.rho, AB), (other_rho, AB), (other_rho, 0.5 * AB)):
+        fresh = cold_start(n, m, N)
+        for state in (reused, fresh):
+            state.scratch.zsum[:] = 0.5
+            state.z2[:] = 0.25
+            state.lam[:] = 1.0
+            solve_qp1(state, offline, rho, x)
+            solve_qp3(state, offline, rho, ab)
+        assert reused.z1.tobytes() == fresh.z1.tobytes()
+        assert reused.z3.tobytes() == fresh.z3.tobytes()
 
 
 STAGES = (
