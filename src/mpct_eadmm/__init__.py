@@ -13,6 +13,7 @@ from .errors import (
     EmptyBox,
     FactorizationFailure,
     HorizonTooShort,
+    KernelBuildFailure,
     MissingWarmstartGain,
     MpctError,
     NonPositiveWeight,
@@ -55,6 +56,7 @@ __all__ = [
     "EmptyBox",
     "FactorizationFailure",
     "HorizonTooShort",
+    "KernelBuildFailure",
     "MissingWarmstartGain",
     "MpctConfig",
     "MpctError",

@@ -37,6 +37,10 @@ class NumericalBreakdown(MpctError):
     """A non-finite value appeared in the solver iterates."""
 
 
+class KernelBuildFailure(MpctError):
+    """The compiled iteration kernel could not be built (no C compiler, or it failed)."""
+
+
 class MissingWarmstartGain(MpctError):
     """Warmstarting was asked of offline data built without the warmstart gain."""
 

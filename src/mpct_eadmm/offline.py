@@ -184,7 +184,9 @@ class OfflineData:
     ``band`` (:func:`cholesky_band`), the per-stage boxes ``z1_lb`` and
     ``z1_ub`` of the trajectory block and ``neg_H3_inv`` = -H3_inv are
     derived on construction, at build and at load, and are neither stored
-    nor serialized.
+    nor serialized. Every array the compiled iteration kernel reads (the
+    inverse Hessians, M2, the boxes) is held in C order whether built or
+    loaded; ``band`` is the Fortran-ordered band that ``dpbtrs`` reads.
     """
 
     n: int
@@ -211,6 +213,11 @@ class OfflineData:
     neg_H3_inv: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
+        # The compiled kernel reads these in C order; a loaded artifact
+        # reshapes the inverse Hessians from column-major bytes.
+        self.H1_inv = np.ascontiguousarray(self.H1_inv, dtype=float)
+        self.H3_inv = np.ascontiguousarray(self.H3_inv, dtype=float)
+        self.M2 = np.ascontiguousarray(self.M2, dtype=float)
         self.band = cholesky_band(self.alphas, self.beta_hats)
         self.neg_H3_inv = -self.H3_inv
         self.z1_lb = np.repeat(self.z_lb[:, None], self.N + 1, axis=1)

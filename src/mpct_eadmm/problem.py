@@ -158,7 +158,7 @@ class PenaltyParams:
     def __post_init__(self):
         self.rho0 = np.atleast_1d(np.asarray(self.rho0, dtype=float)).ravel()
         self.rho_s = np.atleast_1d(np.asarray(self.rho_s, dtype=float)).ravel()
-        self.rho_hat = np.atleast_2d(np.asarray(self.rho_hat, dtype=float))
+        self.rho_hat = np.atleast_2d(np.ascontiguousarray(self.rho_hat, dtype=float))
         for name, arr in (("rho0", self.rho0), ("rho_s", self.rho_s), ("rho_hat", self.rho_hat)):
             if np.any(~np.isfinite(arr)) or np.any(arr <= 0):
                 raise NonPositiveWeight(f"{name} entries must be strictly positive and finite")

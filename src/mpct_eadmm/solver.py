@@ -5,34 +5,28 @@ artificial-reference subproblem and one LAPACK band solve; no horizon-sized
 matrix is ever formed. Horizon-indexed iterates live in
 column-block layout: one (n+m) column per prediction step. Each solve
 allocates its scratch buffers once; the iterations write into them and into
-the iterates in place, with every element computed by the same
-floating-point expression as an allocating implementation would.
+the iterates in place.
 
-At these array sizes a numpy call costs more than its arithmetic, so an
-iteration is a flat sequence of ufunc, BLAS and LAPACK calls on operands
-built before it:
+At these array sizes a numpy call costs more than its arithmetic, so the
+stages' arithmetic runs in one compiled C kernel (``_kernel.c``, built on
+first use by :mod:`.kernel`). Each stage below stays a Python function with
+its signature, called through its module global, and makes one kernel call
+(:func:`solve_qp3` two, around :func:`banded_forward_backward`, which stays
+scipy's ``dpbtrs``). The kernel keeps these rules:
 
-- Bind once. Every view a stage reads (the column blocks of z1, lambda and
-  gamma, the sub-blocks of its scratch, the band solve's right-hand side
-  in both layouts) and every per-solve constant (rho0 * x, [A B]') is built
-  on first use and kept in the state's :class:`Scratch`, keyed by the
-  identity of the arrays and inputs it was built from. A stage given a
-  state whose z1, lambda or gamma was replaced, or another x, rho or
-  [A B], rebinds first, so a stage called directly computes what it would
-  compute from freshly sliced operands; within a solve nothing is rebound.
-  z2 and z3 are never bound: they swap with scratch buffers each iteration.
-  Slicing ``lam[:, 1:N+2]`` of a (4, 15) array cost 0.21 us (minimum;
-  median 0.37 us) and reading a bound view 0.01 us (numpy 2.4, one thread
-  of a 2-vCPU Xeon host, 25 alternated timeit runs). An iteration built
-  about 30 views when each stage sliced its own; it now builds two, the
-  ``z2[:, None]`` of :func:`solve_qp3` and :func:`compute_residual`.
-- Pass by position. Ufuncs, ``np.add.reduce`` and ``np.dot`` take their
-  output buffer as a positional argument. For the reductions this saved
-  nothing measurable on that host: ``np.add.reduce(w, 1, None, out)`` took
-  0.96 us (median 1.72 us) against 0.90 us (median 1.76 us) with
-  ``axis=``/``out=`` keywords, on a (4, 13) operand. ``ndarray.clip`` and
-  ``np.dot`` cost less per call than ``np.clip`` and ``@`` and give the
-  same results.
+- Expression order. Every element comes from the same IEEE expression, in
+  the same order, as the numpy stage bodies that ``tests/test_solver.py``
+  keeps as its reference, so the iterates are bit-identical to them.
+- Summation order. A row sum is ``np.add.reduce``'s: 0 plus numpy's
+  pairwise sum (eight accumulators up to 128 terms, halves above). The
+  matrix products are the BLAS calls ``np.dot`` makes, through scipy's
+  BLAS. Abs-max and clip propagate NaN as numpy's do.
+- Flags. It is compiled with ``-O2 -ffp-contract=off`` and never with
+  value-changing options such as ``-ffast-math``.
+- Memory. It allocates nothing and writes only into the iterates and
+  scratch buffers it is given. Every operand must be a C-contiguous float64
+  array of the shape z1 and x imply (outputs writeable); anything else
+  raises :class:`DimensionMismatch` before any element is read.
 """
 
 import math
@@ -41,75 +35,38 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.linalg.lapack import dpbtrs
 
+from . import kernel
 from .errors import DimensionMismatch, NumericalBreakdown
 
 
 class Scratch:
-    """Buffers that one solve's iterations write into, and operands bound once.
+    """Buffers that one solve's iterations write into.
 
-    Buffers: ``zsum`` is z2 + z3 broadcast over the columns, as the last
+    ``zsum`` is z2 + z3 broadcast over the columns, as the last
     :func:`compute_residual` left it; the next :func:`solve_qp1` reads it.
     ``z2``/``z3`` receive the next iterates of :func:`solve_qp2` and
     :func:`solve_qp3`, which then swap them with the state's, so the
-    previous iterates stay readable for :func:`dual_residual`. The rest are
-    work space reused across the stages: ``q3`` and ``work`` have the shape
-    of z3, ``wide`` that of the duals, ``prod`` holds (n+m) x N matrix
-    products, ``rhs`` the band solve's right-hand side (one row per block,
-    the layout ``dpbtrs`` reads; ``rhs_flat`` is that layout and ``mu`` the
-    (n, N) view of it, which the solve overwrites with its solution) and
-    ``v0``/``v1``/``v2`` three (n+m)-vectors. The views of these buffers
-    are built with them.
-
-    Bound operands: :func:`bound` takes the views of a state's z1, lambda
-    and gamma; ``rho0_x`` (rho0 * x, into its own buffer) and ``ABt``
-    ([A B]') are set by the stage that reads them. Each remembers the objects it was built from
-    (``z1``, ``lam``, ``gamma``, ``x``, ``rho``, ``AB``), which the stages
-    compare by identity.
+    previous iterates stay readable for :func:`dual_residual`. The rest is
+    work space reused across the stages: ``q2`` the linear term of the
+    reference subproblem, ``q3`` and ``work`` (shape of z3) the deviation
+    subproblem's, ``prod`` the (n+m) x N products with [A B] and its
+    transpose, and ``rhs`` the band solve's right-hand side in ``dpbtrs``'s
+    layout (block j in entries j*n to (j+1)*n - 1), which the solve
+    overwrites with its solution.
     """
 
-    __slots__ = (
-        "zsum", "z2", "z3", "q3", "work", "wide", "prod", "rhs", "v0", "v1", "v2",
-        "dz2_col", "q3_head", "q3_tail", "q3_last", "t_head", "t_next",
-        "prod_state", "rhs_flat", "mu",
-        "z1", "lam", "gamma", "z1_first", "z1_head", "z1_last",
-        "lam_first", "lam_mid", "lam_tail", "lam_last", "g_head", "g_mid", "g_last",
-        "x", "rho", "rho0_x", "AB", "ABt",
-    )
+    __slots__ = ("zsum", "z2", "z3", "q2", "q3", "work", "prod", "rhs")
 
     def __init__(self, n, m, N):
         nm = n + m
         self.zsum = np.zeros((nm, N + 1))
         self.z2 = np.empty(nm)
         self.z3 = np.empty((nm, N + 1))
-        self.q3 = q3 = np.empty((nm, N + 1))
-        self.work = work = np.empty((nm, N + 1))
-        self.wide = np.empty((nm, N + 3))
-        self.prod = prod = np.empty((nm, N))
-        self.rhs = rhs = np.empty((N, n))
-        self.v0, self.v1, self.v2 = np.empty((3, nm))
-        self.rho0_x = np.empty(n)
-        self.dz2_col = self.v0[:, None]
-        self.q3_head, self.q3_tail, self.q3_last = q3[:, :N], q3[:n, 1:], q3[:, N]
-        self.t_head, self.t_next = work[:, :N], work[:n, 1:]
-        self.prod_state = prod[:n]
-        self.rhs_flat = rhs.reshape(-1)
-        self.mu = rhs.T
-        self.z1 = self.lam = self.gamma = self.x = self.rho = self.AB = None
-
-
-def bound(state):
-    """The state's scratch, with the column-block views of the state's z1,
-    lambda and gamma taken unless it holds them already."""
-    sc = state.scratch
-    z1, lam, gamma = state.z1, state.lam, state.gamma
-    if sc.z1 is not z1 or sc.lam is not lam or sc.gamma is not gamma:
-        N, n = sc.rhs.shape
-        sc.z1, sc.lam, sc.gamma = z1, lam, gamma
-        sc.z1_first, sc.z1_head, sc.z1_last = z1[:, 0], z1[:n, 0], z1[:, N]
-        sc.lam_first, sc.lam_mid = lam[:, 0], lam[:, 1 : N + 2]
-        sc.lam_tail, sc.lam_last = lam[:, 1:], lam[:, N + 2]
-        sc.g_head, sc.g_mid, sc.g_last = gamma[:n, 0], gamma[:, 1 : N + 2], gamma[:, N + 2]
-    return sc
+        self.q2 = np.empty(nm)
+        self.q3 = np.empty((nm, N + 1))
+        self.work = np.empty((nm, N + 1))
+        self.prod = np.empty((nm, N))
+        self.rhs = np.empty(N * n)
 
 
 @dataclass
@@ -181,27 +138,17 @@ def cold_start(n, m, N):
 def solve_qp1(state, offline, rho, x):
     """Update the trajectory block: componentwise clip of the diagonal QP optimum.
 
-    The negated linear term is assembled columnwise in z1 from the congruence
+    The negated linear term is assembled columnwise from the congruence
     penalties (on ``scratch.zsum``), the initial-state penalty (first
-    column) and the terminal penalties (last column), then clipped against
-    the per-stage boxes in place; no matrix products are involved.
+    column) and the terminal penalties (last column), scaled by the diagonal
+    inverse Hessian and clipped against the per-stage boxes into z1; no
+    matrix products are involved.
     """
-    sc = bound(state)
-    if sc.x is not x or sc.rho is not rho:
-        sc.x, sc.rho = x, rho
-        np.multiply(rho.rho0, x, sc.rho0_x)
-    v = np.multiply(rho.rho_hat, sc.zsum, state.z1)
-    v += sc.lam_mid
-    first = sc.z1_first
-    first -= sc.lam_first
-    head = sc.z1_head
-    head += sc.rho0_x
-    terminal = np.multiply(rho.rho_s, state.z2, sc.v1)
-    terminal += sc.lam_last
-    last = sc.z1_last
-    last += terminal
-    v *= offline.H1_inv
-    return v.clip(offline.z1_lb, offline.z1_ub, v)
+    kernel.load().qp1(
+        state.z1, state.scratch.zsum, state.lam, state.z2, x,
+        rho.rho0, rho.rho_hat, rho.rho_s, offline.H1_inv, offline.z1_lb, offline.z1_ub,
+    )
+    return state.z1
 
 
 def solve_qp2(state, offline, rho, ts_r):
@@ -209,15 +156,11 @@ def solve_qp2(state, offline, rho, ts_r):
 
     ``ts_r`` is the reference weighted by the offset cost, diag(T, S) r.
     """
-    sc = bound(state)
-    w = np.subtract(state.z3, state.z1, sc.work)
-    w *= rho.rho_hat
-    q2 = np.add.reduce(w, 1, None, sc.v0)
-    q2 += np.add.reduce(sc.lam_tail, 1, None, sc.v1)
-    tail = np.multiply(rho.rho_s, sc.z1_last, sc.v1)
-    tail += ts_r
-    q2 -= tail
-    z2 = np.dot(offline.M2, q2, sc.z2)
+    sc = state.scratch
+    z2 = sc.z2
+    kernel.load().qp2(
+        z2, state.z1, state.z3, state.lam, rho.rho_hat, rho.rho_s, ts_r, offline.M2, sc.work, sc.q2
+    )
     sc.z2, state.z2 = state.z2, z2
     return z2
 
@@ -242,22 +185,19 @@ def banded_forward_backward(band, c):
 def solve_qp3(state, offline, rho, AB):
     """Update the deviation block via the banded Schur-complement solve.
 
-    ``AB`` is the horizontally stacked prediction model [A B].
+    ``AB`` is the horizontally stacked prediction model [A B]. The kernel
+    forms the Schur system's right-hand side in ``scratch.rhs``,
+    :func:`banded_forward_backward` solves it in place, and the kernel
+    recovers z3 from the solution.
     """
-    sc = bound(state)
-    if sc.AB is not AB:
-        sc.AB, sc.ABt = AB, AB.T
-    q3 = np.subtract(state.z2[:, None], state.z1, sc.q3)
-    q3 *= rho.rho_hat
-    q3 += sc.lam_mid
-    np.multiply(offline.H3_inv, q3, sc.work)
-    np.subtract(sc.t_next, np.dot(AB, sc.t_head, sc.prod_state), sc.mu)
-    banded_forward_backward(offline.band, sc.rhs_flat)
-    head = sc.q3_head
-    head += np.dot(sc.ABt, sc.mu, sc.prod)
-    tail = sc.q3_tail
-    tail -= sc.mu
-    z3 = np.multiply(offline.neg_H3_inv, q3, sc.z3)
+    k, sc = kernel.load(), state.scratch
+    k.qp3_rhs(
+        sc.rhs, sc.q3, sc.work, sc.prod, state.z1, state.z2, state.lam, rho.rho_hat,
+        offline.H3_inv, AB,
+    )
+    banded_forward_backward(offline.band, sc.rhs)
+    z3 = sc.z3
+    k.qp3_update(z3, sc.q3, sc.rhs, sc.prod, AB, offline.neg_H3_inv)
     sc.z3, state.z3 = state.z3, z3
     return z3
 
@@ -269,14 +209,9 @@ def compute_residual(state, offline, x):
     The padding of gamma's first column is not written: it is zero from
     :func:`cold_start` or :func:`warmstart_predict` on.
     """
-    sc = bound(state)
-    z2 = state.z2
-    zsum = np.add(z2[:, None], state.z3, sc.zsum)
-    np.subtract(sc.z1_head, x, sc.g_head)
-    np.subtract(zsum, state.z1, sc.g_mid)
-    np.subtract(z2, sc.z1_last, sc.g_last)
     g = state.gamma
-    return g, float(np.abs(g, sc.wide).max())
+    res = kernel.load().residual(g, state.scratch.zsum, state.z1, state.z2, state.z3, x)
+    return g, res
 
 
 def dual_residual(z2_prev, z3_prev, state, rho):
@@ -289,23 +224,15 @@ def dual_residual(z2_prev, z3_prev, state, rho):
     assembled columnwise from the iterate change and the penalties, in the
     state's scratch buffers. Returns the larger inf-norm.
     """
-    rh, sc = rho.rho_hat, state.scratch
-    dz2 = np.subtract(state.z2, z2_prev, sc.v0)
-    wdz3 = np.subtract(state.z3, z3_prev, sc.work)
-    wdz3 *= rh
-    s1 = np.multiply(rh, sc.dz2_col, sc.q3)
-    s1 += wdz3
-    last = sc.q3_last
-    last += np.multiply(rho.rho_s, dz2, sc.v1)
-    s2 = np.add.reduce(wdz3, 1, None, sc.v2)
-    return max(float(np.abs(s1, s1).max()), float(np.abs(s2, s2).max()))
+    return kernel.load().dual_residual(
+        state.z2, z2_prev, state.z3, z3_prev, rho.rho_hat, rho.rho_s, state.scratch.work
+    )
 
 
 def update_duals(state, rho):
     """Gradient-ascent dual update with the componentwise penalty, in place."""
-    lam = state.lam
-    lam += np.multiply(rho.columns, state.gamma, state.scratch.wide)
-    return lam
+    kernel.load().duals(state.lam, rho.columns, state.gamma)
+    return state.lam
 
 
 def linear_terms(problem, r):
@@ -349,8 +276,10 @@ def eadmm_solve(offline, problem, x, r, initial=None):
     array storage. Returns a :class:`SolveResult`; non-convergence is reported
     through the ``converged`` flag, not an exception. Offline data, an
     initial state or vectors whose dimensions do not match the problem raise
-    :class:`DimensionMismatch`; a non-finite residual aborts with
-    :class:`NumericalBreakdown`.
+    :class:`DimensionMismatch`, as do initial-state arrays that are not
+    C-contiguous float64; a non-finite residual aborts with
+    :class:`NumericalBreakdown`. If the compiled kernel has to be built and
+    cannot be, the first solve raises :class:`KernelBuildFailure`.
     """
     n, m, N = problem.n, problem.m, problem.N
     nm = n + m

@@ -10,6 +10,7 @@ from mpct_eadmm.artifact import MAGIC, load_offline, save_offline
 from mpct_eadmm.errors import ArtifactError
 from mpct_eadmm.offline import build_offline, problem_fingerprint
 from mpct_eadmm.pendulum import pendulum_problem
+from mpct_eadmm.solver import eadmm_solve
 
 
 def assert_offline_equal(a, b):
@@ -59,6 +60,31 @@ def test_derived_arrays_bit_identical_after_reload(tmp_path):
         for name in ("band", "z1_lb", "z1_ub"):
             a, b = getattr(offline, name), getattr(loaded, name)
             assert a.shape == b.shape and a.tobytes() == b.tobytes(), (name, N)
+
+
+@pytest.mark.parametrize("N", [2, 12, 100])
+def test_built_and_loaded_data_share_layouts_and_iterates(tmp_path, N):
+    """The kernel's operands are in C order and the band in Fortran order, built or loaded.
+
+    Both give byte-identical iterates, and save -> load -> save gives the
+    same bytes.
+    """
+    problem = pendulum_problem(N=N)
+    built = build_offline(problem)
+    path, again = tmp_path / "a.mpct", tmp_path / "b.mpct"
+    save_offline(built, path)
+    loaded = load_offline(path)
+    save_offline(loaded, again)
+    assert again.read_bytes() == path.read_bytes()
+    for data in (built, loaded):
+        for name in ("H1_inv", "H3_inv", "neg_H3_inv", "M2", "z1_lb", "z1_ub"):
+            assert getattr(data, name).flags.c_contiguous, name
+        assert data.band.flags.f_contiguous
+    x, r = np.array([0.1, -0.2, 1.0]), np.zeros(problem.n + problem.m)
+    a, b = eadmm_solve(built, problem, x, r), eadmm_solve(loaded, problem, x, r)
+    assert a.iterations == b.iterations and a.residual_inf == b.residual_inf
+    for name in ("z1", "z2", "z3", "lam"):
+        assert getattr(a, name).tobytes() == getattr(b, name).tobytes(), name
 
 
 def test_deterministic_bytes(tmp_path, offline):

@@ -199,7 +199,7 @@ def test_residual_zero_cases(problem, offline):
     state.z3 = rng.standard_normal(state.z3.shape)
     state.z3[:, -1] = 0.0
     state.z1 = state.z2[:, None] + state.z3
-    _, res = compute_residual(state, offline, state.z1[: problem.n, 0])
+    _, res = compute_residual(state, offline, state.z1[: problem.n, 0].copy())
     assert res <= 1e-15
 
 
@@ -221,8 +221,8 @@ def test_dual_residual_matches_dense(problem):
             )
             state = cold_start(n, m, N)
             state.z2 = nxt.z2
-            state.z3 = nxt.z3.reshape(n + m, N + 1, order="F")
-            prev_z3 = it.z3.reshape(n + m, N + 1, order="F")
+            state.z3 = np.ascontiguousarray(nxt.z3.reshape(n + m, N + 1, order="F"))
+            prev_z3 = np.ascontiguousarray(it.z3.reshape(n + m, N + 1, order="F"))
             got = dual_residual(it.z2, prev_z3, state, problem.rho)
             assert ref > 0.0
             assert abs(got - ref) <= 1e-10
@@ -328,11 +328,19 @@ def test_eadmm_solve_numerical_breakdown(problem, offline):
     state.z2[:] = np.nan
     with pytest.raises(NumericalBreakdown):
         eadmm_solve(offline, problem, np.zeros(3), np.zeros(4), initial=state)
+    # One NaN or infinity in one entry of an iterate the first stage reads.
+    x = np.array([0.1, -0.2, 1.0])
+    for name, at in (("z2", (0,)), ("z3", (0, 1)), ("lam", (0, 1))):
+        for value in (np.nan, np.inf, -np.inf):
+            state = cold_start(problem.n, problem.m, problem.N)
+            getattr(state, name)[at] = value
+            with pytest.raises(NumericalBreakdown, match="non-finite residual"):
+                eadmm_solve(offline, problem, x, np.zeros(4), initial=state)
 
 
-# Reference step: the five stage bodies written plainly, with a fresh
-# temporary for every operation. The scratch version must reproduce them
-# bit for bit.
+# Reference step: the five stage bodies written plainly in numpy, with a
+# fresh temporary for every operation. The compiled kernel must reproduce
+# them bit for bit.
 def reference_step(ref, offline, rho, x, ts_r, AB):
     n, N = offline.n, offline.N
     # solve_qp1
@@ -462,9 +470,8 @@ def test_iterates_bit_identical_to_reference_step(case):
 def test_state_reuse_across_solves_matches_reference_step():
     """Solves that continue one state, or a warm start from it, with new inputs.
 
-    The stages bind their views, rho0 * x and [A B]' once per state and
-    solve; every later solve here changes x and r, the warm start replaces
-    the arrays, one solve runs on a state whose z1, lambda and gamma a caller
+    Every later solve here changes x and r, the warm start replaces the
+    arrays, one solve runs on a state whose z1, lambda and gamma a caller
     replaced, and the last one on another problem of the same size (other A,
     other penalties). Each must match the reference step byte for byte.
     """
@@ -509,7 +516,7 @@ def test_state_reuse_across_solves_matches_reference_step():
 
 
 def test_stages_called_directly_follow_their_arguments(problem, offline):
-    """The same x object with another rho, then another [A B], rebinds what they feed."""
+    """The same x object with another rho, then another [A B], feeds the stages anew."""
     n, m, N = problem.n, problem.m, problem.N
     x = np.array([0.1, -0.2, 1.0])
     AB = np.hstack([problem.model.A, problem.model.B])
@@ -570,3 +577,102 @@ def test_solve_result_unchanged_by_later_solves(problem, offline):
         assert np.array_equal(getattr(first, name), kept[name]), name
         assert np.array_equal(getattr(again, name), kept[name]), name
         assert not np.shares_memory(getattr(first, name), getattr(warm, name)), name
+
+
+def test_non_finite_entries_propagate_like_numpy(problem, offline):
+    """A NaN or an infinity in z2, z3 or lambda ends in the same entries, with
+    the same values, as in the numpy reference step (clip and abs-max
+    included), and the residual is not finite."""
+    rng = np.random.default_rng(43)
+    x, r = np.array([0.1, -0.2, 1.0]), np.zeros(problem.n + problem.m)
+    ts_r, AB = linear_terms(problem, r)
+    for name, at in (("z2", (1,)), ("z3", (1, 5)), ("lam", (2, 4))):
+        for value in (np.nan, np.inf, -np.inf):
+            state = random_state(rng, problem)
+            getattr(state, name)[at] = value
+            state.scratch.zsum[:] = state.z2[:, None] + state.z3
+            ref = SimpleNamespace(**{key: getattr(state, key).copy() for key in ITERATES})
+            res = eadmm_step(state, offline, problem.rho, x, ts_r, AB)
+            with np.errstate(invalid="ignore", over="ignore"):
+                want = reference_step(ref, offline, problem.rho, x, ts_r, AB)
+            assert not np.isfinite(res) and not np.isfinite(want), (name, value)
+            for key in ITERATES:
+                np.testing.assert_array_equal(getattr(state, key), getattr(ref, key), err_msg=key)
+    # A NaN in the first term of the dual residual's max() and none in the
+    # second: Python's max() keeps the NaN.
+    state = random_state(rng, problem)
+    z2_prev, z3_prev = state.z2.copy(), state.z3.copy()
+    z2_prev[0] = np.nan
+    want = reference_dual_residual(z2_prev, z3_prev, state, problem.rho)
+    assert np.isnan(want) and np.isnan(dual_residual(z2_prev, z3_prev, state, problem.rho))
+
+
+@pytest.mark.parametrize("N", [2, 6, 7, 14, 126, 127, 300])
+def test_row_sums_follow_numpy_summation_order(N):
+    """solve_qp2 and dual_residual byte for byte against the numpy expressions.
+
+    Their row sums run over N + 1 and N + 2 terms, which at these horizons
+    cover every branch of numpy's pairwise sum: fewer than 8 terms, 8 to
+    128, and more than 128. Entries spread over 16 decades, so that another
+    summation order shows in the last bits.
+    """
+    problem = pendulum_problem(N=N)
+    offline = build_offline(problem, with_warmstart=False)
+    rho, nm = problem.rho, problem.n + problem.m
+    rng = np.random.default_rng(N)
+
+    def spread(shape):
+        return rng.standard_normal(shape) * 10.0 ** rng.integers(-8, 8, shape)
+
+    for _ in range(20):
+        state = random_state(rng, problem)
+        state.z3, state.lam = spread(state.z3.shape), spread(state.lam.shape)
+        ts_r = spread(nm)
+        z1, z3, lam = state.z1, state.z3, state.lam
+        q2 = np.sum(rho.rho_hat * (z3 - z1), axis=1) + np.sum(lam[:, 1:], axis=1)
+        q2 -= rho.rho_s * z1[:, N] + ts_r
+        want = offline.M2 @ q2
+        solve_qp2(state, offline, rho, ts_r)
+        assert state.z2.tobytes() == want.tobytes()
+        z2_prev, z3_prev = spread(nm), spread(z3.shape)
+        got = dual_residual(z2_prev, z3_prev, state, rho)
+        assert got == reference_dual_residual(z2_prev, z3_prev, state, rho)
+
+
+def test_stage_operands_are_checked(problem, offline):
+    """Fortran order, a wrong shape, an int array or a read-only output.
+
+    Each raises DimensionMismatch from a stage called directly, naming the
+    first operand that does not fit, before the kernel writes anything.
+    """
+    n, m, N = problem.n, problem.m, problem.N
+    nm, rho = n + m, problem.rho
+    x = np.array([0.1, -0.2, 1.0])
+    AB = np.hstack([problem.model.A, problem.model.B])
+
+    def rejected(name, stage, state, *args):
+        state.z1[...] = 7.0
+        before = {key: getattr(state, key).tobytes() for key in ITERATES}
+        with pytest.raises(DimensionMismatch, match=f"^{name} "):
+            stage(state, offline, *args)
+        assert before == {key: getattr(state, key).tobytes() for key in ITERATES}
+
+    state = cold_start(n, m, N)
+    state.lam = np.asfortranarray(state.lam)
+    rejected("lam", solve_qp1, state, rho, x)
+    state = cold_start(n, m, N)
+    state.z1 = np.zeros((nm, N))
+    rejected("zsum", solve_qp1, state, rho, x)  # the first operand that no longer fits z1
+    state = cold_start(n, m, N)
+    state.z3 = np.zeros((nm, N + 1), dtype=int)
+    rejected("z3", solve_qp2, state, rho, np.zeros(nm))
+    state = cold_start(n, m, N)
+    state.gamma.flags.writeable = False
+    rejected("gamma", compute_residual, state, x)
+    rejected("AB", solve_qp3, cold_start(n, m, N), rho, AB.T)
+    rejected("x", solve_qp1, cold_start(n, m, N), rho, np.zeros((n, 1)))
+    state = cold_start(n, m, N)
+    with pytest.raises(DimensionMismatch, match="^z3_prev "):
+        dual_residual(state.z2, np.asfortranarray(state.z3), state, rho)
+    with pytest.raises(DimensionMismatch, match="^columns "):
+        update_duals(state, replace(rho, rho_hat=rho.rho_hat[:, :-1]))

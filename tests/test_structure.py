@@ -1,16 +1,26 @@
 """Structure of the package: module boundaries read from its import
-statements, and the memory an online solve allocates."""
+statements, the memory an online solve allocates, and how the compiled
+kernel is built."""
 
 import ast
+import json
+import os
+import re
+import subprocess
+import sys
 import tracemalloc
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 import mpct_eadmm
+from mpct_eadmm import cli, kernel
+from mpct_eadmm.config import default_pendulum_config
+from mpct_eadmm.errors import KernelBuildFailure
 from mpct_eadmm.offline import build_offline
 from mpct_eadmm.pendulum import pendulum_problem
-from mpct_eadmm.solver import eadmm_solve
+from mpct_eadmm.solver import cold_start, eadmm_solve, solve_qp1
 
 PACKAGE = Path(mpct_eadmm.__file__).parent
 
@@ -76,3 +86,87 @@ def test_online_solve_forms_no_horizon_sized_matrix():
     finally:
         tracemalloc.stop()
     assert peak <= 4 * data.band.nbytes
+
+
+def test_kernel_compiles_without_warnings(tmp_path):
+    strict = ["-Wall", "-Wextra", "-Werror", "-o", str(tmp_path / "k.so")]
+    command = [*kernel.compile_command(), *strict]
+    done = subprocess.run(command, capture_output=True, text=True, check=False)
+    assert done.returncode == 0, done.stderr
+
+
+def test_kernel_flags_keep_ieee_arithmetic():
+    """No contraction into fused multiply-adds and no value-changing optimisation."""
+    flags = kernel.compile_command()
+    assert "-ffp-contract=off" in flags
+    assert not {"-ffast-math", "-Ofast", "-funsafe-math-optimizations"} & set(flags)
+
+
+def test_kernel_allocates_nothing():
+    """The kernel source calls no allocator.
+
+    tracemalloc sees only Python's allocations, so this keeps
+    test_online_solve_forms_no_horizon_sized_matrix meaningful for the
+    kernel's arithmetic.
+    """
+    source = kernel.SOURCE.read_text()
+    assert not re.search(r"(malloc|calloc|realloc|alloca)\s*\(", source, re.IGNORECASE)
+
+
+@pytest.fixture
+def fresh_load():
+    """kernel.load without its memo, restored afterwards."""
+    kernel.load.cache_clear()
+    yield kernel.load
+    kernel.load.cache_clear()
+
+
+def test_second_load_reuses_the_cached_build(fresh_load, monkeypatch):
+    fresh_load()  # builds if no build is cached yet
+    fresh_load.cache_clear()
+
+    def no_compiler(*args, **kwargs):
+        raise AssertionError("the compiler ran although a build was cached")
+
+    monkeypatch.setattr(kernel.subprocess, "run", no_compiler)
+    assert hasattr(fresh_load(), "qp1")
+
+
+def test_unwritable_cache_builds_in_a_private_directory(fresh_load, monkeypatch, tmp_path):
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    monkeypatch.setattr(kernel, "CACHE", blocker / "__pycache__")  # mkdir fails
+    assert hasattr(fresh_load(), "qp1")
+    assert list(tmp_path.iterdir()) == [blocker]
+
+
+def test_simultaneous_first_builds_leave_one_complete_build(tmp_path):
+    """Two processes that find no cached build compile at once; both load."""
+    script = (
+        "import sys; from pathlib import Path; from mpct_eadmm import kernel; "
+        "kernel.CACHE = Path(sys.argv[1]); assert hasattr(kernel.load(), 'qp1')"
+    )
+    env = {**os.environ, "PYTHONPATH": str(PACKAGE.parent)}
+    procs = [
+        subprocess.Popen([sys.executable, "-c", script, str(tmp_path)], env=env) for _ in range(2)
+    ]
+    assert [proc.wait(timeout=120) for proc in procs] == [0, 0]
+    names = [path.name for path in tmp_path.iterdir()]
+    assert len(names) == 1 and names[0].startswith("_kernel.") and not names[0].endswith(".tmp")
+
+
+def test_failed_build_is_a_typed_error(fresh_load, monkeypatch, tmp_path, capsys):
+    """The first stage call raises it, naming the command and the compiler's
+    last lines; ``mpct solve`` exits 1 with the message."""
+    failing = [sys.executable, "-c", "import sys; sys.exit('cc1: fatal error: no kernel today')"]
+    monkeypatch.setattr(kernel, "compile_command", lambda: failing)
+    problem = pendulum_problem(N=2)
+    data = build_offline(problem, with_warmstart=False)
+    with pytest.raises(KernelBuildFailure, match="no kernel today") as err:
+        solve_qp1(cold_start(3, 1, 2), data, problem.rho, np.zeros(3))
+    assert sys.executable in str(err.value)
+    assert not list(kernel.CACHE.glob("*.tmp"))
+    config = tmp_path / "pendulum.json"
+    config.write_text(json.dumps(default_pendulum_config()))
+    assert cli.main(["solve", "--config", str(config), "--x", "0,0,1", "--r", "0,0,0,0"]) == 1
+    assert "no kernel today" in capsys.readouterr().err
