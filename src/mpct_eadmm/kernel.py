@@ -1,4 +1,4 @@
-"""Build and load the compiled stages of the eADMM iteration (``_kernel.c``).
+"""Build and load the compiled eADMM iteration (``_kernel.c``).
 
 The C source is compiled once per machine, by the compiler Python was built
 with (``sysconfig``'s ``CC``), into the package's ``__pycache__``. The file
@@ -8,8 +8,8 @@ compiling, and a changed source or toolchain gets a new build. The build is
 written under a temporary name and moved into place, so processes that
 build at the same time never load a partial file. Where ``__pycache__``
 cannot be written, each process builds into a temporary directory of its
-own. Nothing is built at import: the first stage call builds, and a build
-that fails raises :class:`KernelBuildFailure` from that call.
+own. Nothing is built at import: the first solve or stage call builds, and a
+build that fails raises :class:`KernelBuildFailure` from that call.
 """
 
 import functools

@@ -41,7 +41,8 @@ class SystemModel:
     ``eps_x`` / ``eps_u`` shrink the state/input boxes at the terminal stage so
     that the artificial reference stays strictly inside the constraints. The
     arrays are copied, as are those of :class:`CostWeights`, so a problem
-    shares no memory with the constants it was built from.
+    shares no memory with the constants it was built from. ``AB`` is the
+    read-only stacked prediction model [A B], formed once from A and B.
     """
 
     A: np.ndarray
@@ -52,6 +53,7 @@ class SystemModel:
     u_ub: np.ndarray
     eps_x: np.ndarray = None
     eps_u: np.ndarray = None
+    AB: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.A = np.atleast_2d(np.array(self.A, dtype=float))
@@ -82,6 +84,8 @@ class SystemModel:
             self.u_lb + self.eps_u >= self.u_ub - self.eps_u
         ):
             raise EmptyBox("tightened box is empty")
+        self.AB = np.concatenate((self.A, self.B), axis=1)
+        self.AB.flags.writeable = False
 
     @property
     def n(self):

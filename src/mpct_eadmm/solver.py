@@ -8,11 +8,23 @@ allocates its scratch buffers once; the iterations write into them and into
 the iterates in place.
 
 At these array sizes a numpy call costs more than its arithmetic, so the
-stages' arithmetic runs in one compiled C kernel (``_kernel.c``, built on
-first use by :mod:`.kernel`). Each stage below stays a Python function with
-its signature, called through its module global, and makes one kernel call
-(:func:`solve_qp3` two, around :func:`banded_forward_backward`, which stays
-scipy's ``dpbtrs``). The kernel keeps these rules:
+iteration runs in a compiled C kernel (``_kernel.c``, built on first use by
+:mod:`.kernel`). :func:`eadmm_solve` makes one kernel call per solve: its
+stages, exit tests, buffer swaps and band solve (LAPACK's ``dpbtrs``
+through scipy's ``cython_lapack`` pointer) all run in C, with no Python
+call between iterations.
+
+Each stage below also stays a Python function with its signature, making
+one kernel call on the same C stage body (:func:`solve_qp3` two, around
+:func:`banded_forward_backward`, which is scipy's f2py ``dpbtrs``), and
+:func:`eadmm_step` calls them through their module globals. ``compare``
+and the tests step through them. :func:`eadmm_solve` runs its iterations
+through them instead of the one kernel call only when one of the six stage
+globals has been replaced, as a tracer that times the stages does; the
+iterates are the same either way, but a traced run times this path, not the
+kernel's. That dispatch exists for the tracer alone and goes once the kernel
+times its stages itself. The kernel keeps these
+rules:
 
 - Expression order. Every element comes from the same IEEE expression, in
   the same order, as the numpy stage bodies that ``tests/test_solver.py``
@@ -20,13 +32,15 @@ scipy's ``dpbtrs``). The kernel keeps these rules:
 - Summation order. A row sum is ``np.add.reduce``'s: 0 plus numpy's
   pairwise sum (eight accumulators up to 128 terms, halves above). The
   matrix products are the BLAS calls ``np.dot`` makes, through scipy's
-  BLAS. Abs-max and clip propagate NaN as numpy's do.
+  BLAS, and the band solve is the LAPACK routine the f2py ``dpbtrs``
+  calls. Abs-max and clip propagate NaN as numpy's do.
 - Flags. It is compiled with ``-O2 -ffp-contract=off`` and never with
   value-changing options such as ``-ffast-math``.
 - Memory. It allocates nothing and writes only into the iterates and
   scratch buffers it is given. Every operand must be a C-contiguous float64
-  array of the shape z1 and x imply (outputs writeable); anything else
-  raises :class:`DimensionMismatch` before any element is read.
+  array of the shape z1 and x imply (outputs writeable; the band
+  Fortran-contiguous); anything else raises :class:`DimensionMismatch`
+  before any element is read.
 """
 
 import math
@@ -236,13 +250,12 @@ def update_duals(state, rho):
 
 
 def linear_terms(problem, r):
-    """Per-solve constants of the iteration: diag(T, S) r and [A B]."""
+    """Per-solve constants of the iteration: diag(T, S) r and the model's [A B]."""
     n = problem.n
     ts_r = np.empty(n + problem.m)
     np.dot(problem.costs.T, r[:n], out=ts_r[:n])
     np.dot(problem.costs.S, r[n:], out=ts_r[n:])
-    AB = np.concatenate((problem.model.A, problem.model.B), axis=1)
-    return ts_r, AB
+    return ts_r, problem.model.AB
 
 
 def eadmm_step(state, offline, rho, x, ts_r, AB):
@@ -261,6 +274,57 @@ def eadmm_step(state, offline, rho, x, ts_r, AB):
     return res
 
 
+# How a solve's iterations ended: the cap, the exit test, or a residual that
+# is not finite. The kernel's solve returns the same codes.
+CAPPED, CONVERGED, BREAKDOWN = 0, 1, 2
+
+
+def _stage_functions():
+    """The six stage globals, as :func:`eadmm_solve` finds them now."""
+    return (
+        solve_qp1, solve_qp2, solve_qp3, banded_forward_backward, compute_residual, update_duals
+    )
+
+
+def _stage_loop(state, offline, rho, x, ts_r, AB, eps, primal_only, max_iter):
+    """The iterations of :func:`eadmm_solve` as calls of :func:`eadmm_step`.
+
+    Returns (status, primal residual, dual residual).
+    """
+    np.add(state.z2[:, None], state.z3, out=state.scratch.zsum)
+    res, dual = math.inf, math.nan
+    for _ in range(max_iter):
+        # eadmm_step swaps z2 and z3 with their scratch buffers, so these
+        # stay the old iterates until the next step.
+        z2_prev, z3_prev = state.z2, state.z3
+        res = eadmm_step(state, offline, rho, x, ts_r, AB)
+        if not math.isfinite(res):
+            return BREAKDOWN, res, dual
+        if res <= eps:
+            dual = dual_residual(z2_prev, z3_prev, state, rho)
+            if primal_only or dual <= eps:
+                return CONVERGED, res, dual
+    return CAPPED, res, dual
+
+
+def _kernel_loop(state, offline, rho, x, ts_r, AB, eps, primal_only, max_iter):
+    """The iterations of :func:`_stage_loop` in one kernel call, bit for bit."""
+    sc = state.scratch
+    status, iterations, res, dual = kernel.load().solve(
+        state.z1, state.z2, state.z3, state.lam, state.gamma,
+        sc.zsum, sc.z2, sc.z3, sc.q2, sc.q3, sc.work, sc.prod, sc.rhs,
+        x, ts_r, AB, rho.rho0, rho.rho_hat, rho.rho_s, rho.columns,
+        offline.H1_inv, offline.z1_lb, offline.z1_ub, offline.M2,
+        offline.H3_inv, offline.neg_H3_inv, offline.band,
+        eps, primal_only, max_iter,
+    )
+    state.iterations += iterations
+    if iterations % 2:  # z2 and z3 traded buffers with the scratch's each time
+        state.z2, sc.z2 = sc.z2, state.z2
+        state.z3, sc.z3 = sc.z3, state.z3
+    return status, res, dual
+
+
 def eadmm_solve(offline, problem, x, r, initial=None):
     """Run the extended-ADMM iteration until the exit test passes or the cap.
 
@@ -272,10 +336,12 @@ def eadmm_solve(offline, problem, x, r, initial=None):
     result's ``certified`` flag says whether both residuals were within
     ``epsilon`` at exit.
 
-    The iterations write into the state's scratch buffers; none allocates
-    array storage. Returns a :class:`SolveResult`; non-convergence is reported
-    through the ``converged`` flag, not an exception. Offline data, an
-    initial state or vectors whose dimensions do not match the problem raise
+    The iterations run in one kernel call, or through the stage functions
+    when one of them was replaced (see the module docstring); both write
+    into the state's scratch buffers and allocate no array storage. Returns
+    a :class:`SolveResult`; non-convergence is reported through the
+    ``converged`` flag, not an exception. Offline data, an initial state or
+    vectors whose dimensions do not match the problem raise
     :class:`DimensionMismatch`, as do initial-state arrays that are not
     C-contiguous float64; a non-finite residual aborts with
     :class:`NumericalBreakdown`. If the compiled kernel has to be built and
@@ -288,10 +354,7 @@ def eadmm_solve(offline, problem, x, r, initial=None):
             f"offline data has (n, m, N) = {(offline.n, offline.m, offline.N)}, "
             f"the problem {(n, m, N)}"
         )
-    rho = problem.rho
-    eps = problem.config.epsilon
-    primal_only = problem.config.exit_test == "primal"
-    max_iter = problem.config.max_iter
+    config = problem.config
     x = np.asarray(x, dtype=float).ravel()
     r = np.asarray(r, dtype=float).ravel()
     if x.shape != (n,) or r.shape != (nm,):
@@ -302,25 +365,15 @@ def eadmm_solve(offline, problem, x, r, initial=None):
     shapes = [a.shape for a in (state.z1, state.z2, state.z3, state.lam, state.gamma)]
     if shapes != [(nm, N + 1), (nm,), (nm, N + 1), (nm, N + 3), (nm, N + 3)]:
         raise DimensionMismatch(f"initial state shapes {shapes} do not fit {(n, m, N)}")
-    np.add(state.z2[:, None], state.z3, out=state.scratch.zsum)
     ts_r, AB = linear_terms(problem, r)
-    converged = False
-    res = math.inf
-    dual = math.nan
-    for _ in range(max_iter):
-        # eadmm_step swaps z2 and z3 with their scratch buffers, so these
-        # stay the old iterates until the next step.
-        z2_prev, z3_prev = state.z2, state.z3
-        res = eadmm_step(state, offline, rho, x, ts_r, AB)
-        if not math.isfinite(res):
-            raise NumericalBreakdown(
-                f"non-finite residual at iteration {state.iterations}"
-            )
-        if res <= eps:
-            dual = dual_residual(z2_prev, z3_prev, state, rho)
-            if primal_only or dual <= eps:
-                converged = True
-                break
+    loop = _kernel_loop if _stage_functions() == KERNEL_STAGES else _stage_loop
+    primal_only = config.exit_test == "primal"
+    status, res, dual = loop(
+        state, offline, problem.rho, x, ts_r, AB, config.epsilon, primal_only, config.max_iter
+    )
+    if status == BREAKDOWN:
+        raise NumericalBreakdown(f"non-finite residual at iteration {state.iterations}")
+    converged = status == CONVERGED
     return SolveResult(
         z1=state.z1,
         z2=state.z2,
@@ -333,8 +386,13 @@ def eadmm_solve(offline, problem, x, r, initial=None):
         xs_us=state.z2.copy(),
         metadata={"rho_exceeds_bound": offline.rho_exceeds_bound},
         dual_residual=dual,
-        certified=converged and dual <= eps,
+        certified=converged and dual <= config.epsilon,
     )
+
+
+# The stage globals as this module defines them. While none is replaced,
+# eadmm_solve runs its iterations in one kernel call.
+KERNEL_STAGES = _stage_functions()
 
 
 def warmstart_predict(prev, gain, x_prev, x_next):

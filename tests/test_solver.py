@@ -1,5 +1,6 @@
 """Online iteration tests: each sparse operation against dense algebra."""
 
+import math
 from dataclasses import replace
 from types import SimpleNamespace
 
@@ -7,7 +8,7 @@ import numpy as np
 import pytest
 from scipy.linalg.lapack import dpbtrs
 
-from mpct_eadmm import dense, solver
+from mpct_eadmm import dense, kernel, solver
 from mpct_eadmm.errors import DimensionMismatch, NumericalBreakdown
 from mpct_eadmm.solver import (
     banded_forward_backward,
@@ -26,6 +27,7 @@ from mpct_eadmm.solver import (
 from mpct_eadmm.offline import build_offline, cholesky_band, factor_block_tridiagonal
 from mpct_eadmm.pendulum import pendulum_problem
 from mpct_eadmm.problem import (
+    EXIT_TESTS,
     CostWeights,
     MpctConfig,
     SystemModel,
@@ -232,20 +234,14 @@ def test_dual_residual_matches_dense(problem):
 def test_primal_exit_stops_earlier_on_the_same_iterates(problem, offline):
     x = np.array([0.1, -0.2, 1.0])
     r = np.zeros(problem.n + problem.m)
-
-    def with_config(**kw):
-        return validate_problem(
-            problem.model, problem.costs, replace(problem.config, **kw), problem.rho
-        )
-
     full = eadmm_solve(offline, problem, x, r)
-    plain = eadmm_solve(offline, with_config(exit_test="primal"), x, r)
+    plain = eadmm_solve(offline, with_config(problem, exit_test="primal"), x, r)
     assert plain.converged and plain.residual_inf <= problem.config.epsilon
     assert plain.dual_residual > problem.config.epsilon and not plain.certified
     assert plain.iterations < full.iterations
     # Capped where the primal test stopped, the default test has walked the
     # same iterates but does not report convergence.
-    capped = eadmm_solve(offline, with_config(max_iter=plain.iterations), x, r)
+    capped = eadmm_solve(offline, with_config(problem, max_iter=plain.iterations), x, r)
     assert not capped.converged and not capped.certified
     assert capped.dual_residual == plain.dual_residual
     for name in ("z1", "z2", "z3", "lam"):
@@ -498,9 +494,6 @@ def test_state_reuse_across_solves_matches_reference_step():
             assert getattr(state, name).tobytes() == getattr(ref, name).tobytes(), name
         return result
 
-    def copied(state):
-        return SimpleNamespace(**{name: getattr(state, name).copy() for name in ITERATES})
-
     state = cold_start(n, m, N)
     ref = copied(state)
     solve_and_check(state, *cases[0], ref)
@@ -513,6 +506,125 @@ def test_state_reuse_across_solves_matches_reference_step():
         setattr(warm, name, getattr(warm, name).copy())
     solve_and_check(warm, *cases[4], ref)
     solve_and_check(warm, *cases[5], ref, changed)
+
+
+def copied(state):
+    return SimpleNamespace(**{name: getattr(state, name).copy() for name in ITERATES})
+
+
+def reference_solve(problem, offline, ref, x, r):
+    """eadmm_solve's loop over :func:`reference_step`, from the iterates in ``ref``.
+
+    Returns (iterations, primal residual, dual residual, converged) and
+    raises NumericalBreakdown as eadmm_solve does.
+    """
+    config = problem.config
+    ts_r, AB = linear_terms(problem, r)
+    res, dual = math.inf, math.nan
+    for k in range(1, config.max_iter + 1):
+        prev = ref.z2, ref.z3
+        with np.errstate(invalid="ignore", over="ignore"):
+            res = reference_step(ref, offline, problem.rho, x, ts_r, AB)
+        if not math.isfinite(res):
+            raise NumericalBreakdown(f"non-finite residual at iteration {k}")
+        if res <= config.epsilon:
+            dual = reference_dual_residual(*prev, ref, problem.rho)
+            if config.exit_test == "primal" or dual <= config.epsilon:
+                return k, res, dual, True
+    return config.max_iter, res, dual, False
+
+
+def float_bytes(value):
+    return np.float64(value).tobytes()
+
+
+def assert_solve_matches_reference(problem, offline, state, x, r):
+    """One eadmm_solve from ``state`` against :func:`reference_solve` from a copy."""
+    ref = copied(state)
+    iterations, res, dual, converged = reference_solve(problem, offline, ref, x, r)
+    result = eadmm_solve(offline, problem, x, r, initial=state)
+    assert (result.iterations, result.converged) == (iterations, converged)
+    assert float_bytes(result.residual_inf) == float_bytes(res)
+    assert float_bytes(result.dual_residual) == float_bytes(dual)
+    assert result.certified == (converged and dual <= problem.config.epsilon)
+    for name in ITERATES:
+        assert getattr(state, name).tobytes() == getattr(ref, name).tobytes(), name
+    return result
+
+
+def with_config(problem, **changes):
+    return validate_problem(
+        problem.model, problem.costs, replace(problem.config, **changes), problem.rho
+    )
+
+
+@pytest.mark.parametrize("case", range(9))
+def test_whole_solve_bit_identical_to_reference_loop(case):
+    """Cold and warm solves under both exit tests: iterates, residuals, counts, flags."""
+    problem, x, x_next, r = match_cases()[case]
+    n, m, N = problem.n, problem.m, problem.N
+    offline = build_offline(problem)
+    for exit_test in EXIT_TESTS:
+        target = with_config(problem, exit_test=exit_test)
+        cold = assert_solve_matches_reference(target, offline, cold_start(n, m, N), x, r)
+        warm = warmstart_predict(cold, offline.warmstart, x, x_next)
+        assert_solve_matches_reference(target, offline, warm, x_next, r)
+
+
+def test_capped_and_broken_down_solves_match_reference_loop(problem, offline):
+    """A solve that hits the cap, and NaNs planted in an iterate: the same
+    iteration, the same message and the same iterates as the reference loop."""
+    n, m, N = problem.n, problem.m, problem.N
+    x, r = np.array([0.1, -0.2, 1.0]), np.zeros(n + m)
+    capped = with_config(problem, epsilon=1e-12, max_iter=37)
+    result = assert_solve_matches_reference(capped, offline, cold_start(n, m, N), x, r)
+    assert result.iterations == 37 and not result.converged
+    for name, at in (("z2", (1,)), ("z3", (2, 5)), ("lam", (0, 3))):
+        state = cold_start(n, m, N)
+        getattr(state, name)[at] = np.nan
+        ref = copied(state)
+        with pytest.raises(NumericalBreakdown) as want:
+            reference_solve(problem, offline, ref, x, r)
+        with pytest.raises(NumericalBreakdown) as got:
+            eadmm_solve(offline, problem, x, r, initial=state)
+        assert str(got.value) == str(want.value), name
+        assert state.iterations == int(str(want.value).rsplit(" ", 1)[1])
+        for key in ITERATES:
+            np.testing.assert_array_equal(getattr(state, key), getattr(ref, key), err_msg=key)
+
+
+def test_stage_path_matches_kernel_path(monkeypatch):
+    """eadmm_solve with its stages replaced by pass-through wrappers (as a
+    tracer replaces them) runs them, and gives the kernel path's bytes."""
+    runs = []
+    for traced in (False, True):
+        calls = []
+        if traced:
+            for name in STAGES:
+
+                def passed(*args, _fn=getattr(solver, name)):
+                    calls.append(_fn)
+                    return _fn(*args)
+
+                monkeypatch.setattr(solver, name, passed)
+        outputs = []
+        for problem, x, x_next, r in match_cases()[:5]:
+            offline = build_offline(problem)
+            for exit_test in EXIT_TESTS:
+                target = with_config(problem, exit_test=exit_test)
+                cold_state = cold_start(problem.n, problem.m, problem.N)
+                cold = eadmm_solve(offline, target, x, r, initial=cold_state)
+                warm_state = warmstart_predict(cold, offline.warmstart, x, x_next)
+                warm = eadmm_solve(offline, target, x_next, r, initial=warm_state)
+                for state, result in ((cold_state, cold), (warm_state, warm)):
+                    outputs.append(
+                        [getattr(state, name).tobytes() for name in ITERATES]
+                        + [result.iterations, result.converged, result.certified]
+                        + [float_bytes(result.residual_inf), float_bytes(result.dual_residual)]
+                    )
+        assert bool(calls) == traced
+        runs.append(outputs)
+    assert runs[0] == runs[1]
 
 
 def test_stages_called_directly_follow_their_arguments(problem, offline):
@@ -676,3 +788,70 @@ def test_stage_operands_are_checked(problem, offline):
         dual_residual(state.z2, np.asfortranarray(state.z3), state, rho)
     with pytest.raises(DimensionMismatch, match="^columns "):
         update_duals(state, replace(rho, rho_hat=rho.rho_hat[:, :-1]))
+
+
+@pytest.mark.parametrize("N", [2, 12, 100, 400])
+def test_kernel_band_solve_matches_f2py_dpbtrs(N):
+    """The kernel's dpbtrs (scipy's cython_lapack pointer) against the f2py
+    wrapper that banded_forward_backward calls, byte for byte."""
+    band = build_offline(pendulum_problem(N=N), with_warmstart=False).band
+    rng = np.random.default_rng(N)
+    band_solve = kernel.load().band_solve
+    for _ in range(2000):
+        c = rng.standard_normal(band.shape[1]) * 10.0 ** rng.integers(-6, 6)
+        want, info = dpbtrs(band, c)
+        assert info == 0
+        band_solve(band, c)
+        assert c.tobytes() == want.tobytes()
+
+
+def kernel_solve_args(problem, offline, state, x, r):
+    """The arguments of the kernel's solve, in the order _kernel.c reads them."""
+    sc, rho = state.scratch, problem.rho
+    ts_r, AB = linear_terms(problem, r)
+    return [
+        state.z1, state.z2, state.z3, state.lam, state.gamma,
+        sc.zsum, sc.z2, sc.z3, sc.q2, sc.q3, sc.work, sc.prod, sc.rhs,
+        x, ts_r, AB, rho.rho0, rho.rho_hat, rho.rho_s, rho.columns,
+        offline.H1_inv, offline.z1_lb, offline.z1_ub, offline.M2,
+        offline.H3_inv, offline.neg_H3_inv, offline.band,
+        problem.config.epsilon, False, 50,
+    ]
+
+
+def test_kernel_solve_checks_operands_before_reading(problem, offline):
+    """A wrong dtype, shape or memory order, or a read-only output, raises
+    DimensionMismatch naming the operand, and no array is written."""
+    n, m, N = problem.n, problem.m, problem.N
+    x, r = np.array([0.1, -0.2, 1.0]), np.zeros(n + m)
+    args = kernel_solve_args(problem, offline, cold_start(n, m, N), x, r)
+    args[:27] = [a.copy(order="K") for a in args[:27]]  # filled below; the fixtures stay
+
+    def read_only(a):
+        a = a.copy()
+        a.flags.writeable = False
+        return a
+
+    bad = [
+        (13, "x", lambda a: a.astype(np.float32)),
+        (2, "z3", lambda a: a[:, :-1].copy()),
+        (3, "lam", np.asfortranarray),
+        (4, "gamma", read_only),
+        (6, "z2 buffer", read_only),
+        (11, "prod", lambda a: a.T.copy()),
+        (15, "AB", lambda a: a.T),
+        (19, "columns", lambda a: a.astype(int)),
+        (26, "band", np.ascontiguousarray),
+    ]
+    solve = kernel.load().solve
+    for at, name, spoil in bad:
+        given = list(args)
+        given[at] = spoil(given[at])
+        for a in given[:27]:
+            if a.flags.writeable:
+                a[...] = 7.0
+        before = [a.tobytes() for a in given[:27]]
+        with pytest.raises(DimensionMismatch, match=f"^{name} must be"):
+            solve(*given)
+        assert [a.tobytes() for a in given[:27]] == before, name
+    solve(*args)  # the unspoilt arguments are accepted

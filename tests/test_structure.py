@@ -170,3 +170,20 @@ def test_failed_build_is_a_typed_error(fresh_load, monkeypatch, tmp_path, capsys
     config.write_text(json.dumps(default_pendulum_config()))
     assert cli.main(["solve", "--config", str(config), "--x", "0,0,1", "--r", "0,0,0,0"]) == 1
     assert "no kernel today" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("module, name", [("cython_blas", "dgemm"), ("cython_lapack", "dpbtrs")])
+def test_missing_scipy_function_fails_the_kernel_import(module, name):
+    """The BLAS and LAPACK pointers the kernel takes from scipy must exist; a
+    missing one is an ImportError naming it."""
+    kernel.load()  # build outside the child process, if no build is cached
+    script = (
+        f"import scipy.linalg.{module} as source; del source.__pyx_capi__[{name!r}]; "
+        "from mpct_eadmm import kernel; kernel.load()"
+    )
+    env = {**os.environ, "PYTHONPATH": str(PACKAGE.parent)}
+    done = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert done.returncode != 0
+    assert f"ImportError: scipy.linalg.{module} has no {name}" in done.stderr
