@@ -10,26 +10,30 @@
  *  - a row sum is np.add.reduce's: 0 plus numpy's pairwise sum;
  *  - abs-max and clip propagate NaN as numpy's maximum and clip do;
  *  - the three small matrix products are the BLAS calls np.dot makes and
- *    the band solve is the LAPACK dpbtrs that scipy.linalg.lapack wraps,
- *    all through the pointers scipy.linalg.cython_blas and cython_lapack
- *    export.
+ *    the band solve is LAPACK's dpbtrs, all through the pointers
+ *    scipy.linalg.cython_blas and cython_lapack export.
  *
  * The entry points are one per stage, which the Python stage functions
- * call; solve, which runs a whole solve's loop of stages, exit tests and
- * buffer swaps in one call; and band_solve, the band solve alone, a test
- * hook that compares it with f2py's dpbtrs and that nothing else calls.
+ * call; band_solve, the band solve alone, which is the package's only
+ * binding of dpbtrs (solver.banded_forward_backward); and solve, which runs
+ * a whole solve's loop of stages, exit tests and buffer swaps in one call.
  *
- * Arguments are checked before anything is read: each must be an aligned,
- * native-order, C-contiguous float64 array (the band Fortran-contiguous) of
- * the shape the call's z1 (or z3) and x imply, and writeable if the call
- * writes it; otherwise DimensionMismatch. The kernel allocates nothing and
- * writes only into the arrays it is given as outputs.
+ * Every entry point binds its arguments through bind(), which reads the
+ * operand table: each operand's name, shape and slot in struct eadmm are
+ * stated there once, and an entry point lists only which operands it takes,
+ * in argument order, and which of them it writes. An argument must be an
+ * aligned, native-order, C-contiguous float64 array (the band
+ * Fortran-contiguous) of the shape the call's first operand and its x or
+ * [A B] imply, and writeable if the call writes it; otherwise
+ * DimensionMismatch, raised before anything is read. The kernel allocates
+ * nothing and writes only into the arrays it is given as outputs.
  */
 #define PY_SSIZE_T_CLEAN
 #define NPY_NO_DEPRECATED_API NPY_1_7_API_VERSION
 #include <Python.h>
 #include <numpy/arrayobject.h>
 #include <math.h>
+#include <stddef.h>
 
 typedef void dgemm_fn(char *, char *, int *, int *, int *, double *, double *,
                       int *, double *, int *, double *, double *, int *);
@@ -43,106 +47,135 @@ static dgemv_fn *dgemv;
 static dpbtrs_fn *dpbtrs;
 static PyObject *DimensionMismatch;
 
-/* How operand() checks an array: read, written, or read as a
-   Fortran-ordered LAPACK band. */
-enum { IN = 0, OUT = 1, BAND = 2 };
-
 /* The operands of the iteration. n states, nm = n + m rows and cols = N + 1
    columns; every BLAS and LAPACK extent derived from them was checked to fit
-   an int by the entry point. z2 and z3 are the current iterates and
-   z2_spare and z3_spare their second buffers: solve_qp2 and solve_qp3 write
-   the next iterate into the spare, the two are swapped, and the spare then
-   holds the previous iterate, which the dual residual reads. */
+   an int by bind(). z2 and z3 are the current iterates and z2_spare and
+   z3_spare their second buffers: solve_qp2 and solve_qp3 write the next
+   iterate into the spare, the two are swapped, and the spare then holds the
+   previous iterate, which the dual residual reads. columns holds every
+   penalty in the duals' layout: rho0 at [i, 0], rho_hat at [i, j + 1] and
+   rho_s at [i, N + 2]. */
 struct eadmm {
     npy_intp n, nm, cols;
     double *z1, *z2, *z3, *lam, *gamma, *z2_spare, *z3_spare;
     double *zsum, *q2, *q3, *work, *prod, *rhs;
-    const double *x, *ts_r, *rho0, *rho_hat, *rho_s, *columns;
-    const double *H1_inv, *z1_lb, *z1_ub, *H3_inv, *neg_H3_inv;
-    double *AB, *M2, *band;
+    double *x, *ts_r, *AB, *columns, *H1_inv, *z1_lb, *z1_ub, *M2, *H3_inv, *band;
 };
 
-/* The data of `obj` if it is a float64 array fit for the kernel with extents
-   (d0, d1), or (d0,) when d1 < 0; else NULL with DimensionMismatch set,
-   naming the first unfit operand of the call. */
-static double *
-operand(PyObject *obj, const char *name, npy_intp d0, npy_intp d1, int how)
-{
-    PyArrayObject *a = (PyArrayObject *)obj;
-    int ndim = d1 < 0 ? 1 : 2;
-    if (!PyArray_Check(obj) || PyArray_TYPE(a) != NPY_DOUBLE
-        || !(how == OUT ? PyArray_ISCARRAY(a)
-             : how == BAND ? PyArray_ISFARRAY_RO(a) : PyArray_ISCARRAY_RO(a))
-        || PyArray_NDIM(a) != ndim || PyArray_DIM(a, 0) != d0
-        || (ndim == 2 && PyArray_DIM(a, 1) != d1)) {
-        if (PyErr_Occurred())
-            return NULL;
-        const char *kind = how == OUT ? " writeable C-contiguous"
-                           : how == BAND ? " Fortran-contiguous" : " C-contiguous";
-        if (ndim == 1)
-            PyErr_Format(DimensionMismatch, "%s must be a%s float64 array of shape (%zd,)",
-                         name, kind, (Py_ssize_t)d0);
-        else
-            PyErr_Format(DimensionMismatch, "%s must be a%s float64 array of shape (%zd, %zd)",
-                         name, kind, (Py_ssize_t)d0, (Py_ssize_t)d1);
-        return NULL;
-    }
-    return (double *)PyArray_DATA(a);
-}
+/* The extents an operand's shape is stated in: n, nm, cols, cols + 2,
+   N = cols - 1, N n and 2n; VEC as the second extent marks a vector. */
+enum { VEC, EXT_N, EXT_NM, EXT_COLS, EXT_LC, EXT_H, EXT_NH, EXT_2N, EXTENTS };
 
-/* Extents of the two-dimensional array `obj` (at least one row and two
-   columns), which sets the shapes of a call's other operands. */
+enum {
+    Z1, Z2, Z3, LAM, GAMMA, Z2_SPARE, Z3_SPARE, ZSUM, Q2, Q3, WORK, PROD, RHS,
+    X, TS_R, AB, COLUMNS, H1_INV, Z1_LB, Z1_UB, M2, H3_INV, BAND,
+};
+
+static const struct operand {
+    const char *name;
+    size_t slot; /* offset of its pointer in struct eadmm */
+    int d0, d1;
+} operands[] = {
+#define OPERAND(id, field, d0, d1) [id] = {#field, offsetof(struct eadmm, field), d0, d1}
+    OPERAND(Z1, z1, EXT_NM, EXT_COLS),
+    OPERAND(Z2, z2, EXT_NM, VEC),
+    OPERAND(Z3, z3, EXT_NM, EXT_COLS),
+    OPERAND(LAM, lam, EXT_NM, EXT_LC),
+    OPERAND(GAMMA, gamma, EXT_NM, EXT_LC),
+    OPERAND(Z2_SPARE, z2_spare, EXT_NM, VEC),
+    OPERAND(Z3_SPARE, z3_spare, EXT_NM, EXT_COLS),
+    OPERAND(ZSUM, zsum, EXT_NM, EXT_COLS),
+    OPERAND(Q2, q2, EXT_NM, VEC),
+    OPERAND(Q3, q3, EXT_NM, EXT_COLS),
+    OPERAND(WORK, work, EXT_NM, EXT_COLS),
+    OPERAND(PROD, prod, EXT_NM, EXT_H),
+    OPERAND(RHS, rhs, EXT_NH, VEC),
+    OPERAND(X, x, EXT_N, VEC),
+    OPERAND(TS_R, ts_r, EXT_NM, VEC),
+    OPERAND(AB, AB, EXT_N, EXT_NM),
+    OPERAND(COLUMNS, columns, EXT_NM, EXT_LC),
+    OPERAND(H1_INV, H1_inv, EXT_NM, EXT_COLS),
+    OPERAND(Z1_LB, z1_lb, EXT_NM, EXT_COLS),
+    OPERAND(Z1_UB, z1_ub, EXT_NM, EXT_COLS),
+    OPERAND(M2, M2, EXT_NM, EXT_NM),
+    OPERAND(H3_INV, H3_inv, EXT_NM, EXT_COLS),
+    OPERAND(BAND, band, EXT_2N, EXT_NH), /* Fortran-ordered, as dpbtrs reads it */
+#undef OPERAND
+};
+
+/* Marks an operand in an entry point's list as written. */
+#define OUT 0x40
+
+/* Fills `e` from the arguments of entry point `fn`: the arrays of `uses`
+   (operand ids, OUT for the written ones) in that order, then `scalars`
+   other arguments. (nm, cols) come from the first array, n from x or [A B]
+   (1 to nm - 1 rows); band_solve's first array, the band, gives n and cols.
+   Returns 0, or -1 with the error set before any element was read. */
 static int
-extents(PyObject *obj, const char *name, npy_intp *rows, npy_intp *cols)
+bind(struct eadmm *e, const char *fn, PyObject *const *args, Py_ssize_t nargs,
+     const unsigned char *uses, Py_ssize_t count, Py_ssize_t scalars)
 {
-    if (!PyArray_Check(obj) || PyArray_NDIM((PyArrayObject *)obj) != 2
-        || PyArray_DIM((PyArrayObject *)obj, 0) < 1
-        || PyArray_DIM((PyArrayObject *)obj, 1) < 2) {
-        PyErr_Format(DimensionMismatch,
-                     "%s must be a two-dimensional array with at least two columns", name);
+    if (nargs != count + scalars) {
+        PyErr_Format(PyExc_TypeError, "%s takes %zd arguments (%zd given)", fn,
+                     count + scalars, nargs);
         return -1;
     }
-    *rows = PyArray_DIM((PyArrayObject *)obj, 0);
-    *cols = PyArray_DIM((PyArrayObject *)obj, 1);
-    return 0;
-}
-
-/* Leading extent of the `ndim`-dimensional array `obj`, from 1 to `most`. */
-static int
-leading(PyObject *obj, const char *name, int ndim, npy_intp most, npy_intp *len)
-{
-    if (!PyArray_Check(obj) || PyArray_NDIM((PyArrayObject *)obj) != ndim
-        || PyArray_DIM((PyArrayObject *)obj, 0) < 1
-        || PyArray_DIM((PyArrayObject *)obj, 0) > most) {
-        PyErr_Format(DimensionMismatch,
-                     "%s must be a %d-dimensional array with 1 to %zd rows",
-                     name, ndim, (Py_ssize_t)most);
+    const struct operand *lead = &operands[uses[0] & ~OUT];
+    PyArrayObject *a = (PyArrayObject *)args[0];
+    int pad = lead->d1 == EXT_LC ? 2 : 0;
+    if (!PyArray_Check(args[0]) || PyArray_NDIM(a) != 2 || PyArray_DIM(a, 0) < 1
+        || PyArray_DIM(a, 1) < 2 + pad) {
+        PyErr_Format(DimensionMismatch, "%s must be a two-dimensional array with at least %d columns",
+                     lead->name, 2 + pad);
         return -1;
     }
-    *len = PyArray_DIM((PyArrayObject *)obj, 0);
-    return 0;
-}
-
-static int
-arity(Py_ssize_t nargs, Py_ssize_t want, const char *fn)
-{
-    if (nargs == want)
-        return 0;
-    PyErr_Format(PyExc_TypeError, "%s takes %zd arguments (%zd given)", fn, want, nargs);
-    return -1;
-}
-
-/* Whether every extent in `v` fits the BLAS and LAPACK integer; they are
-   far below INT_MAX for any horizon whose band fits in memory, but say so
-   if one is not. */
-static int
-blas_ints(const npy_intp *v, int count)
-{
-    for (int i = 0; i < count; i++)
-        if (v[i] > INT_MAX) {
+    npy_intp n = 0, nm = PyArray_DIM(a, 0), cols = PyArray_DIM(a, 1) - pad;
+    Py_ssize_t from = 0; /* the operand with n rows: x or [A B] */
+    while (from < count && operands[uses[from] & ~OUT].d0 != EXT_N)
+        from++;
+    if (lead->d0 == EXT_2N) { /* band_solve's band, (2n, N n) */
+        n = nm / 2;
+        cols = cols / (n ? n : 1) + 1;
+    } else if (from < count) {
+        const struct operand *op = &operands[uses[from] & ~OUT];
+        int ndim = op->d1 == VEC ? 1 : 2;
+        a = (PyArrayObject *)args[from];
+        if (!PyArray_Check(args[from]) || PyArray_NDIM(a) != ndim || PyArray_DIM(a, 0) < 1
+            || PyArray_DIM(a, 0) > nm - 1) {
+            PyErr_Format(DimensionMismatch, "%s must be a %d-dimensional array with 1 to %zd rows",
+                         op->name, ndim, (Py_ssize_t)(nm - 1));
+            return -1;
+        }
+        n = PyArray_DIM(a, 0);
+    }
+    npy_intp ext[EXTENTS] = {-1, n, nm, cols, cols + 2, cols - 1, (cols - 1) * n, 2 * n};
+    for (int k = 1; k < EXTENTS; k++)
+        if (ext[k] > INT_MAX) {
             PyErr_SetString(DimensionMismatch, "dimension exceeds the BLAS integer range");
             return -1;
         }
+    e->n = n, e->nm = nm, e->cols = cols;
+    for (Py_ssize_t i = 0; i < count; i++) {
+        const struct operand *op = &operands[uses[i] & ~OUT];
+        int out = uses[i] & OUT, band = op == &operands[BAND], vec = op->d1 == VEC;
+        npy_intp d0 = ext[op->d0], d1 = ext[op->d1];
+        a = (PyArrayObject *)args[i];
+        if (!PyArray_Check(args[i]) || PyArray_TYPE(a) != NPY_DOUBLE
+            || !(out ? PyArray_ISCARRAY(a) : band ? PyArray_ISFARRAY_RO(a) : PyArray_ISCARRAY_RO(a))
+            || PyArray_NDIM(a) != 2 - vec || PyArray_DIM(a, 0) != d0
+            || (!vec && PyArray_DIM(a, 1) != d1)) {
+            const char *kind = out ? " writeable C-contiguous"
+                               : band ? " Fortran-contiguous" : " C-contiguous";
+            if (vec)
+                PyErr_Format(DimensionMismatch, "%s must be a%s float64 array of shape (%zd,)",
+                             op->name, kind, (Py_ssize_t)d0);
+            else
+                PyErr_Format(DimensionMismatch, "%s must be a%s float64 array of shape (%zd, %zd)",
+                             op->name, kind, (Py_ssize_t)d0, (Py_ssize_t)d1);
+            return -1;
+        }
+        *(double **)((char *)e + op->slot) = (double *)PyArray_DATA(a);
+    }
     return 0;
 }
 
@@ -212,21 +245,22 @@ static void
 stage_qp1(const struct eadmm *e)
 {
     npy_intp n = e->n, nm = e->nm, cols = e->cols, N = cols - 1, lc = cols + 2;
-    const double *zsum = e->zsum, *rh = e->rho_hat, *h1 = e->H1_inv;
     for (npy_intp i = 0; i < nm; i++) {
-        const double *l = e->lam + i * lc;
+        const double *l = e->lam + i * lc, *rho = e->columns + i * lc;
+        const double *zsum = e->zsum + i * cols, *h1 = e->H1_inv + i * cols;
+        const double *lb = e->z1_lb + i * cols, *ub = e->z1_ub + i * cols;
+        double *z1 = e->z1 + i * cols;
         for (npy_intp j = 0; j <= N; j++) {
-            npy_intp k = i * cols + j;
-            double v = rh[k] * zsum[k] + l[j + 1];
+            double v = rho[j + 1] * zsum[j] + l[j + 1];
             if (j == 0) {
                 v -= l[0];
                 if (i < n)
-                    v += e->rho0[i] * e->x[i];
+                    v += rho[0] * e->x[i];
             }
             if (j == N)
-                v += e->rho_s[i] * e->z2[i] + l[N + 2];
-            v *= h1[k];
-            e->z1[k] = clip(v, e->z1_lb[k], e->z1_ub[k]);
+                v += rho[N + 2] * e->z2[i] + l[N + 2];
+            v *= h1[j];
+            z1[j] = clip(v, lb[j], ub[j]);
         }
     }
 }
@@ -239,12 +273,13 @@ stage_qp2(const struct eadmm *e)
     npy_intp nm = e->nm, cols = e->cols, N = cols - 1, lc = cols + 2;
     for (npy_intp i = 0; i < nm; i++) {
         double *w = e->work + i * cols;
+        const double *rho = e->columns + i * lc;
         for (npy_intp j = 0; j < cols; j++) {
             npy_intp k = i * cols + j;
-            w[j] = (e->z3[k] - e->z1[k]) * e->rho_hat[k];
+            w[j] = (e->z3[k] - e->z1[k]) * rho[j + 1];
         }
         double s = row_sum(w, cols) + row_sum(e->lam + i * lc + 1, cols + 1);
-        e->q2[i] = s - (e->rho_s[i] * e->z1[i * cols + N] + e->ts_r[i]);
+        e->q2[i] = s - (rho[N + 2] * e->z1[i * cols + N] + e->ts_r[i]);
     }
     /* np.dot of a C-ordered matrix and a vector: dgemv 'T' on the matrix's
        column-major view. */
@@ -262,13 +297,15 @@ stage_qp3_rhs(const struct eadmm *e)
 {
     npy_intp n = e->n, nm = e->nm, cols = e->cols, N = cols - 1, lc = cols + 2;
     double *work = e->work, *prod = e->prod;
-    for (npy_intp i = 0; i < nm; i++)
+    for (npy_intp i = 0; i < nm; i++) {
+        const double *rho = e->columns + i * lc + 1, *l = e->lam + i * lc + 1;
         for (npy_intp j = 0; j < cols; j++) {
             npy_intp k = i * cols + j;
-            double q = (e->z2[i] - e->z1[k]) * e->rho_hat[k] + e->lam[i * lc + j + 1];
+            double q = (e->z2[i] - e->z1[k]) * rho[j] + l[j];
             e->q3[k] = q;
             work[k] = e->H3_inv[k] * q;
         }
+    }
     /* prod[:n] = AB @ work[:, :N], reading work's first N columns in place,
        as column-major (work[:, :N])' AB'. np.dot treats a one-row AB as a
        vector (row-major dgemv 'T', which is this 'N'), any other as a
@@ -285,23 +322,18 @@ stage_qp3_rhs(const struct eadmm *e)
             e->rhs[k * n + a] = work[a * cols + k + 1] - prod[a * N + k];
 }
 
-/* dpbtrs on `rhs` in place, as scipy.linalg.lapack.dpbtrs(band, rhs)
-   computes it: upper band of `ldab` rows (bandwidth ldab - 1), one
-   right-hand side. Returns LAPACK's info. */
-static int
-band_solve_in_place(double *band, int ldab, int order, double *rhs)
-{
-    char uplo = 'U';
-    int kd = ldab - 1, nrhs = 1, info = 0;
-    dpbtrs(&uplo, &order, &kd, &nrhs, band, &ldab, rhs, &order, &info);
-    return info;
-}
-
-/* The band solve of solve_qp3 (banded_forward_backward): rhs becomes mu. */
-static int
+/* The band solve of solve_qp3: dpbtrs on rhs in place, as
+   scipy.linalg.lapack.dpbtrs(band, rhs) computes it, with the upper band of
+   2n rows (bandwidth 2n - 1) and one right-hand side; rhs becomes mu.
+   Returns LAPACK's info. */
+static inline int
 stage_band(const struct eadmm *e)
 {
-    return band_solve_in_place(e->band, (int)(2 * e->n), (int)((e->cols - 1) * e->n), e->rhs);
+    char uplo = 'U';
+    int ldab = (int)(2 * e->n), kd = ldab - 1, order = (int)((e->cols - 1) * e->n);
+    int nrhs = 1, info = 0;
+    dpbtrs(&uplo, &order, &kd, &nrhs, e->band, &ldab, e->rhs, &order, &info);
+    return info;
 }
 
 /* Second half of solve_qp3, after the band solve left mu in rhs:
@@ -318,16 +350,19 @@ stage_qp3_update(const struct eadmm *e)
     int bN = (int)N, bn = (int)n, bnm = (int)nm;
     double alpha = 1.0, beta = 0.0;
     dgemm(&t, &t, &bN, &bnm, &bn, &alpha, e->rhs, &bn, e->AB, &bnm, &beta, e->prod, &bN);
-    for (npy_intp i = 0; i < nm; i++)
+    for (npy_intp i = 0; i < nm; i++) {
+        const double *q3 = e->q3 + i * cols, *h3 = e->H3_inv + i * cols, *p = e->prod + i * N;
+        double *z3 = e->z3_spare + i * cols;
         for (npy_intp j = 0; j < cols; j++) {
-            npy_intp k = i * cols + j;
-            double q = e->q3[k];
+            double q = q3[j];
             if (j < N)
-                q += e->prod[i * N + j];
+                q += p[j];
             if (i < n && j > 0)
                 q -= mu[(j - 1) * n + i];
-            e->z3_spare[k] = e->neg_H3_inv[k] * q;
+            /* numpy's (-H3_inv) * q3: the sign flip is exact */
+            z3[j] = -h3[j] * q;
         }
+    }
 }
 
 /* compute_residual: gamma from z1, z2, z3 and x; zsum = z2 + z3. Returns
@@ -369,18 +404,18 @@ stage_duals(const struct eadmm *e)
 static double
 stage_dual_residual(const struct eadmm *e)
 {
-    npy_intp nm = e->nm, cols = e->cols, N = cols - 1;
-    const double *rh = e->rho_hat;
+    npy_intp nm = e->nm, cols = e->cols, N = cols - 1, lc = cols + 2;
     double m1 = 0.0, m2 = 0.0;
     for (npy_intp i = 0; i < nm; i++) {
         double dz2 = e->z2[i] - e->z2_spare[i];
         double *w = e->work + i * cols;
+        const double *rho = e->columns + i * lc;
         for (npy_intp j = 0; j < cols; j++) {
             npy_intp k = i * cols + j;
-            w[j] = (e->z3[k] - e->z3_spare[k]) * rh[k];
-            double s1 = rh[k] * dz2 + w[j];
+            w[j] = (e->z3[k] - e->z3_spare[k]) * rho[j + 1];
+            double s1 = rho[j + 1] * dz2 + w[j];
             if (j == N)
-                s1 += e->rho_s[i] * dz2;
+                s1 += rho[N + 2] * dz2;
             m1 = max_step(m1, fabs(s1));
         }
         m2 = max_step(m2, fabs(row_sum(w, cols)));
@@ -395,189 +430,76 @@ rejected_band_argument(int info)
     return NULL;
 }
 
-/* qp1(z1, zsum, lam, z2, x, rho0, rho_hat, rho_s, H1_inv, lb, ub) */
+/* The prologue of an entry point: binds the arrays of the operand list
+   (OUT marks the written ones), then `scalars` more arguments, into `e`. */
+#define BIND(scalars, ...)                                                  \
+    static const unsigned char uses[] = {__VA_ARGS__};                      \
+    struct eadmm e;                                                         \
+    if (bind(&e, __func__, args, nargs, uses, sizeof uses, scalars))        \
+        return NULL
+
 static PyObject *
 qp1(PyObject *Py_UNUSED(self), PyObject *const *args, Py_ssize_t nargs)
 {
-    struct eadmm e;
-    npy_intp nm, cols, n;
-    if (arity(nargs, 11, "qp1") || extents(args[0], "z1", &nm, &cols)
-        || leading(args[4], "x", 1, nm, &n))
-        return NULL;
-    npy_intp lc = cols + 2;
-    e.n = n, e.nm = nm, e.cols = cols;
-    e.z1 = operand(args[0], "z1", nm, cols, OUT);
-    e.zsum = operand(args[1], "zsum", nm, cols, IN);
-    e.lam = operand(args[2], "lam", nm, lc, IN);
-    e.z2 = operand(args[3], "z2", nm, -1, IN);
-    e.x = operand(args[4], "x", n, -1, IN);
-    e.rho0 = operand(args[5], "rho0", n, -1, IN);
-    e.rho_hat = operand(args[6], "rho_hat", nm, cols, IN);
-    e.rho_s = operand(args[7], "rho_s", nm, -1, IN);
-    e.H1_inv = operand(args[8], "H1_inv", nm, cols, IN);
-    e.z1_lb = operand(args[9], "z1_lb", nm, cols, IN);
-    e.z1_ub = operand(args[10], "z1_ub", nm, cols, IN);
-    if (PyErr_Occurred())
-        return NULL;
+    BIND(0, Z1 | OUT, ZSUM, LAM, Z2, X, COLUMNS, H1_INV, Z1_LB, Z1_UB);
     stage_qp1(&e);
     Py_RETURN_NONE;
 }
 
-/* qp2(z2_out, z1, z3, lam, rho_hat, rho_s, ts_r, M2, work, q2) */
 static PyObject *
 qp2(PyObject *Py_UNUSED(self), PyObject *const *args, Py_ssize_t nargs)
 {
-    struct eadmm e;
-    npy_intp nm, cols;
-    if (arity(nargs, 10, "qp2") || extents(args[1], "z1", &nm, &cols) || blas_ints(&nm, 1))
-        return NULL;
-    npy_intp lc = cols + 2;
-    e.nm = nm, e.cols = cols;
-    e.z2_spare = operand(args[0], "z2 buffer", nm, -1, OUT);
-    e.z1 = operand(args[1], "z1", nm, cols, IN);
-    e.z3 = operand(args[2], "z3", nm, cols, IN);
-    e.lam = operand(args[3], "lam", nm, lc, IN);
-    e.rho_hat = operand(args[4], "rho_hat", nm, cols, IN);
-    e.rho_s = operand(args[5], "rho_s", nm, -1, IN);
-    e.ts_r = operand(args[6], "ts_r", nm, -1, IN);
-    e.M2 = operand(args[7], "M2", nm, nm, IN);
-    e.work = operand(args[8], "work", nm, cols, OUT);
-    e.q2 = operand(args[9], "q2", nm, -1, OUT);
-    if (PyErr_Occurred())
-        return NULL;
+    BIND(0, Z1, Z2_SPARE | OUT, Z3, LAM, COLUMNS, TS_R, M2, WORK | OUT, Q2 | OUT);
     stage_qp2(&e);
     Py_RETURN_NONE;
 }
 
-/* qp3_rhs(rhs, q3, work, prod, z1, z2, lam, rho_hat, H3_inv, AB) */
 static PyObject *
 qp3_rhs(PyObject *Py_UNUSED(self), PyObject *const *args, Py_ssize_t nargs)
 {
-    struct eadmm e;
-    npy_intp nm, cols, n;
-    if (arity(nargs, 10, "qp3_rhs") || extents(args[4], "z1", &nm, &cols)
-        || leading(args[9], "AB", 2, nm - 1, &n))
-        return NULL;
-    npy_intp N = cols - 1, lc = cols + 2, fit[] = {nm, cols};
-    if (blas_ints(fit, 2))
-        return NULL;
-    e.n = n, e.nm = nm, e.cols = cols;
-    e.rhs = operand(args[0], "rhs", N * n, -1, OUT);
-    e.q3 = operand(args[1], "q3", nm, cols, OUT);
-    e.work = operand(args[2], "work", nm, cols, OUT);
-    e.prod = operand(args[3], "prod", nm, N, OUT);
-    e.z1 = operand(args[4], "z1", nm, cols, IN);
-    e.z2 = operand(args[5], "z2", nm, -1, IN);
-    e.lam = operand(args[6], "lam", nm, lc, IN);
-    e.rho_hat = operand(args[7], "rho_hat", nm, cols, IN);
-    e.H3_inv = operand(args[8], "H3_inv", nm, cols, IN);
-    e.AB = operand(args[9], "AB", n, nm, IN);
-    if (PyErr_Occurred())
-        return NULL;
+    BIND(0, Z1, RHS | OUT, Q3 | OUT, WORK | OUT, PROD | OUT, Z2, LAM, COLUMNS, H3_INV, AB);
     stage_qp3_rhs(&e);
     Py_RETURN_NONE;
 }
 
-/* qp3_update(z3_out, q3, rhs, prod, AB, neg_H3_inv) */
 static PyObject *
 qp3_update(PyObject *Py_UNUSED(self), PyObject *const *args, Py_ssize_t nargs)
 {
-    struct eadmm e;
-    npy_intp nm, cols, n;
-    if (arity(nargs, 6, "qp3_update") || extents(args[1], "q3", &nm, &cols)
-        || leading(args[4], "AB", 2, nm - 1, &n))
-        return NULL;
-    npy_intp N = cols - 1, fit[] = {nm, N};
-    if (blas_ints(fit, 2))
-        return NULL;
-    e.n = n, e.nm = nm, e.cols = cols;
-    e.z3_spare = operand(args[0], "z3 buffer", nm, cols, OUT);
-    e.q3 = operand(args[1], "q3", nm, cols, IN);
-    e.rhs = operand(args[2], "rhs", N * n, -1, IN);
-    e.prod = operand(args[3], "prod", nm, N, OUT);
-    e.AB = operand(args[4], "AB", n, nm, IN);
-    e.neg_H3_inv = operand(args[5], "neg_H3_inv", nm, cols, IN);
-    if (PyErr_Occurred())
-        return NULL;
+    BIND(0, Q3, Z3_SPARE | OUT, RHS, PROD | OUT, AB, H3_INV);
     stage_qp3_update(&e);
     Py_RETURN_NONE;
 }
 
-/* residual(gamma, zsum, z1, z2, z3, x) */
 static PyObject *
 residual(PyObject *Py_UNUSED(self), PyObject *const *args, Py_ssize_t nargs)
 {
-    struct eadmm e;
-    npy_intp nm, cols, n;
-    if (arity(nargs, 6, "residual") || extents(args[2], "z1", &nm, &cols)
-        || leading(args[5], "x", 1, nm, &n))
-        return NULL;
-    e.n = n, e.nm = nm, e.cols = cols;
-    e.gamma = operand(args[0], "gamma", nm, cols + 2, OUT);
-    e.zsum = operand(args[1], "zsum", nm, cols, OUT);
-    e.z1 = operand(args[2], "z1", nm, cols, IN);
-    e.z2 = operand(args[3], "z2", nm, -1, IN);
-    e.z3 = operand(args[4], "z3", nm, cols, IN);
-    e.x = operand(args[5], "x", n, -1, IN);
-    if (PyErr_Occurred())
-        return NULL;
+    BIND(0, Z1, GAMMA | OUT, ZSUM | OUT, Z2, Z3, X);
     return PyFloat_FromDouble(stage_residual(&e));
 }
 
-/* duals(lam, columns, gamma) */
 static PyObject *
 duals(PyObject *Py_UNUSED(self), PyObject *const *args, Py_ssize_t nargs)
 {
-    struct eadmm e;
-    npy_intp nm, gc;
-    if (arity(nargs, 3, "duals") || extents(args[0], "lam", &nm, &gc))
-        return NULL;
-    e.nm = nm, e.cols = gc - 2;
-    e.lam = operand(args[0], "lam", nm, gc, OUT);
-    e.columns = operand(args[1], "columns", nm, gc, IN);
-    e.gamma = operand(args[2], "gamma", nm, gc, IN);
-    if (PyErr_Occurred())
-        return NULL;
+    BIND(0, LAM | OUT, COLUMNS, GAMMA);
     stage_duals(&e);
     Py_RETURN_NONE;
 }
 
-/* dual_residual(z2, z2_prev, z3, z3_prev, rho_hat, rho_s, work) */
 static PyObject *
 dual_residual(PyObject *Py_UNUSED(self), PyObject *const *args, Py_ssize_t nargs)
 {
-    struct eadmm e;
-    npy_intp nm, cols;
-    if (arity(nargs, 7, "dual_residual") || extents(args[2], "z3", &nm, &cols))
-        return NULL;
-    e.nm = nm, e.cols = cols;
-    e.z2 = operand(args[0], "z2", nm, -1, IN);
-    e.z2_spare = operand(args[1], "z2_prev", nm, -1, IN);
-    e.z3 = operand(args[2], "z3", nm, cols, IN);
-    e.z3_spare = operand(args[3], "z3_prev", nm, cols, IN);
-    e.rho_hat = operand(args[4], "rho_hat", nm, cols, IN);
-    e.rho_s = operand(args[5], "rho_s", nm, -1, IN);
-    e.work = operand(args[6], "work", nm, cols, OUT);
-    if (PyErr_Occurred())
-        return NULL;
+    BIND(0, Z3, Z3_SPARE, Z2, Z2_SPARE, COLUMNS, WORK | OUT);
     return PyFloat_FromDouble(stage_dual_residual(&e));
 }
 
 /* band_solve(band, rhs): rhs becomes the solution of W z = rhs, W given by
-   the upper band of its Cholesky factor (one Fortran-ordered column per
-   unknown). A test hook: the solver calls band_solve_in_place directly. */
+   the upper band of its Cholesky factor (2n rows, one Fortran-ordered
+   column per unknown). */
 static PyObject *
 band_solve(PyObject *Py_UNUSED(self), PyObject *const *args, Py_ssize_t nargs)
 {
-    npy_intp rows, order;
-    if (arity(nargs, 2, "band_solve") || leading(args[0], "band", 2, INT_MAX, &rows))
-        return NULL;
-    order = PyArray_DIM((PyArrayObject *)args[0], 1);
-    double *band = operand(args[0], "band", rows, order, BAND);
-    double *rhs = operand(args[1], "rhs", order, -1, OUT);
-    if (!band || !rhs || blas_ints(&order, 1))
-        return NULL;
-    int info = band_solve_in_place(band, (int)rows, (int)order, rhs);
+    BIND(0, BAND, RHS | OUT);
+    int info = stage_band(&e);
     if (info)
         return rejected_band_argument(info);
     Py_RETURN_NONE;
@@ -591,10 +513,7 @@ enum { CAPPED = 0, CONVERGED = 1, BREAKDOWN = 2 };
    set to z2 + z3, then per iteration the five stages, the primal residual's
    finiteness and exit test, and the dual residual on iterations whose
    primal residual is within epsilon.
-   solve(z1, z2, z3, lam, gamma, zsum, z2_spare, z3_spare, q2, q3, work,
-         prod, rhs, x, ts_r, AB, rho0, rho_hat, rho_s, columns, H1_inv,
-         z1_lb, z1_ub, M2, H3_inv, neg_H3_inv, band,
-         epsilon, primal_only, max_iter)
+   solve(<its 23 arrays, in the order below>, epsilon, primal_only, max_iter)
    Returns (status, iterations, primal residual, dual residual), the last
    NaN when no iteration passed the primal test. The current z2 and z3 and
    their spares trade buffers every iteration, so after an odd number of
@@ -602,51 +521,17 @@ enum { CAPPED = 0, CONVERGED = 1, BREAKDOWN = 2 };
 static PyObject *
 solve(PyObject *Py_UNUSED(self), PyObject *const *args, Py_ssize_t nargs)
 {
-    struct eadmm e;
-    npy_intp nm, cols, n;
-    if (arity(nargs, 30, "solve") || extents(args[0], "z1", &nm, &cols)
-        || leading(args[13], "x", 1, nm - 1, &n))
-        return NULL;
-    npy_intp N = cols - 1, lc = cols + 2, fit[] = {nm, cols, N * n};
-    if (blas_ints(fit, 3))
-        return NULL;
-    e.n = n, e.nm = nm, e.cols = cols;
-    e.z1 = operand(args[0], "z1", nm, cols, OUT);
-    e.z2 = operand(args[1], "z2", nm, -1, OUT);
-    e.z3 = operand(args[2], "z3", nm, cols, OUT);
-    e.lam = operand(args[3], "lam", nm, lc, OUT);
-    e.gamma = operand(args[4], "gamma", nm, lc, OUT);
-    e.zsum = operand(args[5], "zsum", nm, cols, OUT);
-    e.z2_spare = operand(args[6], "z2 buffer", nm, -1, OUT);
-    e.z3_spare = operand(args[7], "z3 buffer", nm, cols, OUT);
-    e.q2 = operand(args[8], "q2", nm, -1, OUT);
-    e.q3 = operand(args[9], "q3", nm, cols, OUT);
-    e.work = operand(args[10], "work", nm, cols, OUT);
-    e.prod = operand(args[11], "prod", nm, N, OUT);
-    e.rhs = operand(args[12], "rhs", N * n, -1, OUT);
-    e.x = operand(args[13], "x", n, -1, IN);
-    e.ts_r = operand(args[14], "ts_r", nm, -1, IN);
-    e.AB = operand(args[15], "AB", n, nm, IN);
-    e.rho0 = operand(args[16], "rho0", n, -1, IN);
-    e.rho_hat = operand(args[17], "rho_hat", nm, cols, IN);
-    e.rho_s = operand(args[18], "rho_s", nm, -1, IN);
-    e.columns = operand(args[19], "columns", nm, lc, IN);
-    e.H1_inv = operand(args[20], "H1_inv", nm, cols, IN);
-    e.z1_lb = operand(args[21], "z1_lb", nm, cols, IN);
-    e.z1_ub = operand(args[22], "z1_ub", nm, cols, IN);
-    e.M2 = operand(args[23], "M2", nm, nm, IN);
-    e.H3_inv = operand(args[24], "H3_inv", nm, cols, IN);
-    e.neg_H3_inv = operand(args[25], "neg_H3_inv", nm, cols, IN);
-    e.band = operand(args[26], "band", 2 * n, N * n, BAND);
-    if (PyErr_Occurred())
-        return NULL;
-    double eps = PyFloat_AsDouble(args[27]);
-    int primal_only = PyObject_IsTrue(args[28]);
-    Py_ssize_t max_iter = PyNumber_AsSsize_t(args[29], PyExc_OverflowError);
+    BIND(3, Z1 | OUT, Z2 | OUT, Z3 | OUT, LAM | OUT, GAMMA | OUT, ZSUM | OUT, Z2_SPARE | OUT,
+         Z3_SPARE | OUT, Q2 | OUT, Q3 | OUT, WORK | OUT, PROD | OUT, RHS | OUT,
+         X, TS_R, AB, COLUMNS, H1_INV, Z1_LB, Z1_UB, M2, H3_INV, BAND);
+    PyObject *const *scalars = args + sizeof uses;
+    double eps = PyFloat_AsDouble(scalars[0]);
+    int primal_only = PyObject_IsTrue(scalars[1]);
+    Py_ssize_t max_iter = PyNumber_AsSsize_t(scalars[2], PyExc_OverflowError);
     if (PyErr_Occurred())
         return NULL;
 
-    /* zsum = z2 + z3, which the first stage_qp1 reads. */
+    npy_intp nm = e.nm, cols = e.cols;
     for (npy_intp i = 0; i < nm; i++)
         for (npy_intp j = 0; j < cols; j++)
             e.zsum[i * cols + j] = e.z2[i] + e.z3[i * cols + j];

@@ -120,7 +120,7 @@ def compute_banded_cholesky(model, H3_inv, N):
     where D_j is the j-th diagonal block of the inverse Hessian.
     """
     n = model.n
-    AB = np.hstack([model.A, model.B])
+    AB = model.AB
     D = H3_inv[:, :N].T[:, None, :]
     Dx1 = H3_inv[:n, 1 : N + 1].T[:, :, None]
     diag_blocks = (AB * D) @ AB.T + Dx1 * np.eye(n)
@@ -181,12 +181,11 @@ class OfflineData:
     All horizon-indexed data is stored in column-block layout ((n+m) rows,
     one column per prediction step). ``fingerprint`` is the
     :func:`problem_fingerprint` of the problem the data was built for.
-    ``band`` (:func:`cholesky_band`), the per-stage boxes ``z1_lb`` and
-    ``z1_ub`` of the trajectory block and ``neg_H3_inv`` = -H3_inv are
-    derived on construction, at build and at load, and are neither stored
-    nor serialized. Every array the compiled iteration kernel reads (the
-    inverse Hessians, M2, the boxes) is held in C order whether built or
-    loaded; ``band`` is the Fortran-ordered band that ``dpbtrs`` reads.
+    ``band`` (:func:`cholesky_band`) and the per-stage boxes ``z1_lb`` and
+    ``z1_ub`` of the trajectory block are derived on construction, at build
+    and at load, and are neither stored nor serialized. Every array the
+    compiled iteration kernel reads (the inverse Hessians, M2, the boxes) is
+    held in C order, built or loaded; ``band`` is in Fortran order.
     """
 
     n: int
@@ -210,7 +209,6 @@ class OfflineData:
     band: np.ndarray = field(init=False, repr=False)
     z1_lb: np.ndarray = field(init=False, repr=False)
     z1_ub: np.ndarray = field(init=False, repr=False)
-    neg_H3_inv: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         # The compiled kernel reads these in C order; a loaded artifact
@@ -219,7 +217,6 @@ class OfflineData:
         self.H3_inv = np.ascontiguousarray(self.H3_inv, dtype=float)
         self.M2 = np.ascontiguousarray(self.M2, dtype=float)
         self.band = cholesky_band(self.alphas, self.beta_hats)
-        self.neg_H3_inv = -self.H3_inv
         self.z1_lb = np.repeat(self.z_lb[:, None], self.N + 1, axis=1)
         self.z1_lb[:, 0], self.z1_lb[:, -1] = self.u_only_lb, self.z_lb_s
         self.z1_ub = np.repeat(self.z_ub[:, None], self.N + 1, axis=1)

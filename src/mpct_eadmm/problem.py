@@ -58,10 +58,12 @@ class SystemModel:
     def __post_init__(self):
         self.A = np.atleast_2d(np.array(self.A, dtype=float))
         n = self.A.shape[0]
-        if self.A.shape != (n, n):
-            raise DimensionMismatch(f"A must be square, got {self.A.shape}")
+        if self.A.shape != (n, n) or n == 0:
+            raise DimensionMismatch(f"A must be square with at least one row, got {self.A.shape}")
         self.B = np.array(self.B, dtype=float).reshape(n, -1)
         m = self.B.shape[1]
+        if m == 0:
+            raise DimensionMismatch(f"B must have at least one column, got {self.B.shape}")
         self.x_lb = _as_vector(self.x_lb, n, "x_lb")
         self.x_ub = _as_vector(self.x_ub, n, "x_ub")
         self.u_lb = _as_vector(self.u_lb, m, "u_lb")
@@ -114,6 +116,8 @@ class CostWeights:
         self.Q_diag = np.atleast_1d(np.array(self.Q_diag, dtype=float)).ravel()
         self.R_diag = np.atleast_1d(np.array(self.R_diag, dtype=float)).ravel()
         n, m = self.Q_diag.size, self.R_diag.size
+        if n * m == 0:
+            raise DimensionMismatch("Q_diag and R_diag must not be empty")
         self.T = _as_matrix(self.T, (n, n), "T")
         self.S = _as_matrix(self.S, (m, m), "S")
         if np.any(self.Q_diag <= 0) or np.any(self.R_diag <= 0):

@@ -9,16 +9,15 @@ the iterates in place.
 
 At these array sizes a numpy call costs more than its arithmetic, so the
 iteration runs in a compiled C kernel (``_kernel.c``, built on first use by
-:mod:`.kernel`). :func:`eadmm_solve` makes one kernel call per solve: its
-stages, exit tests, buffer swaps and band solve (LAPACK's ``dpbtrs``
-through scipy's ``cython_lapack`` pointer) all run in C, with no Python
-call between iterations.
+:mod:`.kernel`). :func:`eadmm_solve` makes one kernel call per solve, on the
+arrays :func:`solve_operands` lists: stages, exit tests, buffer swaps and
+the band solve all run in C. The kernel checks every entry point's operands
+with one binder, and is the package's only binding of LAPACK's ``dpbtrs``.
 
 Each stage below also stays a Python function with its signature, making
 one kernel call on the same C stage body (:func:`solve_qp3` two, around
-:func:`banded_forward_backward`, which is scipy's f2py ``dpbtrs``), and
-:func:`eadmm_step` calls them through their module globals. ``compare``
-and the tests step through them. :func:`eadmm_solve` runs its iterations
+:func:`banded_forward_backward`), and :func:`eadmm_step` calls them through
+their module globals. ``compare`` and the tests step through them. :func:`eadmm_solve` runs its iterations
 through them instead of the one kernel call only when one of the six stage
 globals has been replaced, as a tracer that times the stages does; the
 iterates are the same either way, but a traced run times this path, not the
@@ -32,22 +31,21 @@ rules:
 - Summation order. A row sum is ``np.add.reduce``'s: 0 plus numpy's
   pairwise sum (eight accumulators up to 128 terms, halves above). The
   matrix products are the BLAS calls ``np.dot`` makes, through scipy's
-  BLAS, and the band solve is the LAPACK routine the f2py ``dpbtrs``
+  BLAS, and the band solve is the LAPACK routine scipy's f2py ``dpbtrs``
   calls. Abs-max and clip propagate NaN as numpy's do.
 - Flags. It is compiled with ``-O2 -ffp-contract=off`` and never with
   value-changing options such as ``-ffast-math``.
 - Memory. It allocates nothing and writes only into the iterates and
   scratch buffers it is given. Every operand must be a C-contiguous float64
-  array of the shape z1 and x imply (outputs writeable; the band
-  Fortran-contiguous); anything else raises :class:`DimensionMismatch`
-  before any element is read.
+  array of the shape the call's first operand and its x or [A B] imply
+  (outputs writeable; the band Fortran-contiguous); anything else raises
+  :class:`DimensionMismatch` before any element is read.
 """
 
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg.lapack import dpbtrs
 
 from . import kernel
 from .errors import DimensionMismatch, NumericalBreakdown
@@ -160,7 +158,7 @@ def solve_qp1(state, offline, rho, x):
     """
     kernel.load().qp1(
         state.z1, state.scratch.zsum, state.lam, state.z2, x,
-        rho.rho0, rho.rho_hat, rho.rho_s, offline.H1_inv, offline.z1_lb, offline.z1_ub,
+        rho.columns, offline.H1_inv, offline.z1_lb, offline.z1_ub,
     )
     return state.z1
 
@@ -173,7 +171,7 @@ def solve_qp2(state, offline, rho, ts_r):
     sc = state.scratch
     z2 = sc.z2
     kernel.load().qp2(
-        z2, state.z1, state.z3, state.lam, rho.rho_hat, rho.rho_s, ts_r, offline.M2, sc.work, sc.q2
+        state.z1, z2, state.z3, state.lam, rho.columns, ts_r, offline.M2, sc.work, sc.q2
     )
     sc.z2, state.z2 = state.z2, z2
     return z2
@@ -183,17 +181,14 @@ def banded_forward_backward(band, c):
     """Solve W z = c given the upper band of W's Cholesky factor.
 
     ``band`` is the LAPACK upper band storage of :func:`offline.cholesky_band`;
-    one ``dpbtrs`` call does the forward and the backward substitution.
-    ``c`` is in ``dpbtrs``'s layout: block j in entries j*n to (j+1)*n - 1,
-    optionally with one column per right-hand side. The solution comes back
-    in the same layout, and overwrites ``c`` when ``c`` is a contiguous
-    float array, as :func:`solve_qp3` lays it out. A ``c`` whose leading
-    dimension is not the band's order raises :class:`DimensionMismatch`.
+    one ``dpbtrs`` call in the kernel does the forward and the backward
+    substitution. ``c``, a writeable C-contiguous float64 vector in
+    ``dpbtrs``'s layout (block j in entries j*n to (j+1)*n - 1), is
+    overwritten with the solution and returned. Any other ``c`` or band
+    raises :class:`DimensionMismatch`.
     """
-    z, info = dpbtrs(band, c, overwrite_b=1)
-    if info:
-        raise DimensionMismatch(f"dpbtrs rejected argument {-info}: c has shape {c.shape}")
-    return z
+    kernel.load().band_solve(band, c)
+    return c
 
 
 def solve_qp3(state, offline, rho, AB):
@@ -206,12 +201,12 @@ def solve_qp3(state, offline, rho, AB):
     """
     k, sc = kernel.load(), state.scratch
     k.qp3_rhs(
-        sc.rhs, sc.q3, sc.work, sc.prod, state.z1, state.z2, state.lam, rho.rho_hat,
+        state.z1, sc.rhs, sc.q3, sc.work, sc.prod, state.z2, state.lam, rho.columns,
         offline.H3_inv, AB,
     )
     banded_forward_backward(offline.band, sc.rhs)
     z3 = sc.z3
-    k.qp3_update(z3, sc.q3, sc.rhs, sc.prod, AB, offline.neg_H3_inv)
+    k.qp3_update(sc.q3, z3, sc.rhs, sc.prod, AB, offline.H3_inv)
     sc.z3, state.z3 = state.z3, z3
     return z3
 
@@ -224,7 +219,7 @@ def compute_residual(state, offline, x):
     :func:`cold_start` or :func:`warmstart_predict` on.
     """
     g = state.gamma
-    res = kernel.load().residual(g, state.scratch.zsum, state.z1, state.z2, state.z3, x)
+    res = kernel.load().residual(state.z1, g, state.scratch.zsum, state.z2, state.z3, x)
     return g, res
 
 
@@ -239,7 +234,7 @@ def dual_residual(z2_prev, z3_prev, state, rho):
     state's scratch buffers. Returns the larger inf-norm.
     """
     return kernel.load().dual_residual(
-        state.z2, z2_prev, state.z3, z3_prev, rho.rho_hat, rho.rho_s, state.scratch.work
+        state.z3, z3_prev, state.z2, z2_prev, rho.columns, state.scratch.work
     )
 
 
@@ -307,17 +302,21 @@ def _stage_loop(state, offline, rho, x, ts_r, AB, eps, primal_only, max_iter):
     return CAPPED, res, dual
 
 
+def solve_operands(state, offline, rho, x, ts_r, AB):
+    """The arrays of the kernel's ``solve``, in its argument order."""
+    sc = state.scratch
+    return (
+        state.z1, state.z2, state.z3, state.lam, state.gamma, sc.zsum, sc.z2, sc.z3, sc.q2,
+        sc.q3, sc.work, sc.prod, sc.rhs, x, ts_r, AB, rho.columns, offline.H1_inv,
+        offline.z1_lb, offline.z1_ub, offline.M2, offline.H3_inv, offline.band,
+    )
+
+
 def _kernel_loop(state, offline, rho, x, ts_r, AB, eps, primal_only, max_iter):
     """The iterations of :func:`_stage_loop` in one kernel call, bit for bit."""
+    operands = solve_operands(state, offline, rho, x, ts_r, AB)
+    status, iterations, res, dual = kernel.load().solve(*operands, eps, primal_only, max_iter)
     sc = state.scratch
-    status, iterations, res, dual = kernel.load().solve(
-        state.z1, state.z2, state.z3, state.lam, state.gamma,
-        sc.zsum, sc.z2, sc.z3, sc.q2, sc.q3, sc.work, sc.prod, sc.rhs,
-        x, ts_r, AB, rho.rho0, rho.rho_hat, rho.rho_s, rho.columns,
-        offline.H1_inv, offline.z1_lb, offline.z1_ub, offline.M2,
-        offline.H3_inv, offline.neg_H3_inv, offline.band,
-        eps, primal_only, max_iter,
-    )
     state.iterations += iterations
     if iterations % 2:  # z2 and z3 traded buffers with the scratch's each time
         state.z2, sc.z2 = sc.z2, state.z2

@@ -77,7 +77,7 @@ def test_built_and_loaded_data_share_layouts_and_iterates(tmp_path, N):
     save_offline(loaded, again)
     assert again.read_bytes() == path.read_bytes()
     for data in (built, loaded):
-        for name in ("H1_inv", "H3_inv", "neg_H3_inv", "M2", "z1_lb", "z1_ub"):
+        for name in ("H1_inv", "H3_inv", "M2", "z1_lb", "z1_ub"):
             assert getattr(data, name).flags.c_contiguous, name
         assert data.band.flags.f_contiguous
     x, r = np.array([0.1, -0.2, 1.0]), np.zeros(problem.n + problem.m)

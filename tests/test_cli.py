@@ -216,6 +216,25 @@ def test_bad_document_values_exit_code(tmp_path, capsys):
             assert f"config error: {key}:" in capsys.readouterr().err, (key, command)
 
 
+def test_empty_dimensions_exit_code(tmp_path, capsys):
+    """A model with no state or no input, or empty weights, is a config error."""
+    for section, message, mutate in (
+        ("model", "A must be square with at least one row", lambda d: d["model"].update(A=[])),
+        (
+            "model",
+            "B must have at least one column",
+            lambda d: d["model"].update(B=[[], [], []], u_lb=[], u_ub=[]),
+        ),
+        ("costs", "must not be empty", lambda d: d["costs"].update(Q_diag=[])),
+        ("costs", "must not be empty", lambda d: d["costs"].update(R_diag=[], S=[])),
+    ):
+        path = write_config(tmp_path, mutate)
+        for command in ("solve", "precompute"):
+            assert cli.main([command, "--config", path]) == 1, (message, command)
+            err = capsys.readouterr().err
+            assert f"config error: {section}: " in err and message in err, (err, command)
+
+
 def test_non_finite_state_or_reference_exit_code(tmp_path, capsys):
     for key, mutate in (
         ("sim.x0", lambda d: d["sim"].update(x0=[float("nan"), 0.0, 0.0])),

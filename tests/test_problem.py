@@ -37,6 +37,17 @@ def test_pendulum_instance_accepted(problem):
     assert problem.n == 3 and problem.m == 1 and problem.N == 12
 
 
+def test_empty_dimensions_rejected():
+    """n = 0, m = 0 and empty weights are typed errors, not numpy's."""
+    with pytest.raises(DimensionMismatch, match="A must be square with at least one row"):
+        small_model(A=np.zeros((0, 0)), B=np.zeros((0, 1)), x_lb=[], x_ub=[])
+    with pytest.raises(DimensionMismatch, match="B must have at least one column"):
+        small_model(B=np.zeros((2, 0)), u_lb=[], u_ub=[])
+    for q, r in ((np.zeros(0), np.ones(1)), (np.ones(2), np.zeros(0))):
+        with pytest.raises(DimensionMismatch, match="Q_diag and R_diag must not be empty"):
+            CostWeights(Q_diag=q, R_diag=r, T=np.eye(q.size), S=np.eye(r.size))
+
+
 def test_degenerate_box_rejected():
     with pytest.raises(EmptyBox):
         small_model(x_lb=np.array([-1.0, 1.0]))

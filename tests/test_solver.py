@@ -1,5 +1,6 @@
 """Online iteration tests: each sparse operation against dense algebra."""
 
+import functools
 import math
 from dataclasses import replace
 from types import SimpleNamespace
@@ -161,7 +162,7 @@ def test_banded_forward_backward_identity():
     z = banded_forward_backward(band, rhs)
     np.testing.assert_allclose(z, c, atol=1e-15)
     assert np.shares_memory(z, rhs)  # a contiguous right-hand side is solved in place
-    with pytest.raises(DimensionMismatch, match="dpbtrs"):
+    with pytest.raises(DimensionMismatch, match=r"^rhs must be .* shape \(8,\)"):
         banded_forward_backward(band, c.reshape(2, 4, order="F"))  # one column per block
 
 
@@ -751,107 +752,138 @@ def test_row_sums_follow_numpy_summation_order(N):
         assert got == reference_dual_residual(z2_prev, z3_prev, state, rho)
 
 
-def test_stage_operands_are_checked(problem, offline):
-    """Fortran order, a wrong shape, an int array or a read-only output.
-
-    Each raises DimensionMismatch from a stage called directly, naming the
-    first operand that does not fit, before the kernel writes anything.
-    """
-    n, m, N = problem.n, problem.m, problem.N
-    nm, rho = n + m, problem.rho
-    x = np.array([0.1, -0.2, 1.0])
-    AB = np.hstack([problem.model.A, problem.model.B])
-
-    def rejected(name, stage, state, *args):
-        state.z1[...] = 7.0
-        before = {key: getattr(state, key).tobytes() for key in ITERATES}
-        with pytest.raises(DimensionMismatch, match=f"^{name} "):
-            stage(state, offline, *args)
-        assert before == {key: getattr(state, key).tobytes() for key in ITERATES}
-
-    state = cold_start(n, m, N)
-    state.lam = np.asfortranarray(state.lam)
-    rejected("lam", solve_qp1, state, rho, x)
-    state = cold_start(n, m, N)
-    state.z1 = np.zeros((nm, N))
-    rejected("zsum", solve_qp1, state, rho, x)  # the first operand that no longer fits z1
-    state = cold_start(n, m, N)
-    state.z3 = np.zeros((nm, N + 1), dtype=int)
-    rejected("z3", solve_qp2, state, rho, np.zeros(nm))
-    state = cold_start(n, m, N)
-    state.gamma.flags.writeable = False
-    rejected("gamma", compute_residual, state, x)
-    rejected("AB", solve_qp3, cold_start(n, m, N), rho, AB.T)
-    rejected("x", solve_qp1, cold_start(n, m, N), rho, np.zeros((n, 1)))
-    state = cold_start(n, m, N)
-    with pytest.raises(DimensionMismatch, match="^z3_prev "):
-        dual_residual(state.z2, np.asfortranarray(state.z3), state, rho)
-    with pytest.raises(DimensionMismatch, match="^columns "):
-        update_duals(state, replace(rho, rho_hat=rho.rho_hat[:, :-1]))
-
-
 @pytest.mark.parametrize("N", [2, 12, 100, 400])
 def test_kernel_band_solve_matches_f2py_dpbtrs(N):
-    """The kernel's dpbtrs (scipy's cython_lapack pointer) against the f2py
-    wrapper that banded_forward_backward calls, byte for byte."""
+    """banded_forward_backward, the kernel's dpbtrs (scipy's cython_lapack
+    pointer), against scipy's f2py wrapper of the same routine, byte for byte."""
     band = build_offline(pendulum_problem(N=N), with_warmstart=False).band
     rng = np.random.default_rng(N)
-    band_solve = kernel.load().band_solve
     for _ in range(2000):
         c = rng.standard_normal(band.shape[1]) * 10.0 ** rng.integers(-6, 6)
         want, info = dpbtrs(band, c)
         assert info == 0
-        band_solve(band, c)
+        assert banded_forward_backward(band, c) is c
         assert c.tobytes() == want.tobytes()
 
 
-def kernel_solve_args(problem, offline, state, x, r):
-    """The arguments of the kernel's solve, in the order _kernel.c reads them."""
-    sc, rho = state.scratch, problem.rho
-    ts_r, AB = linear_terms(problem, r)
-    return [
-        state.z1, state.z2, state.z3, state.lam, state.gamma,
-        sc.zsum, sc.z2, sc.z3, sc.q2, sc.q3, sc.work, sc.prod, sc.rhs,
-        x, ts_r, AB, rho.rho0, rho.rho_hat, rho.rho_s, rho.columns,
-        offline.H1_inv, offline.z1_lb, offline.z1_ub, offline.M2,
-        offline.H3_inv, offline.neg_H3_inv, offline.band,
-        problem.config.epsilon, False, 50,
+# What each kernel entry point reads (R) and writes (W), by the operand names
+# of the kernel's table. The argument order is the solver's.
+R, W = "read", "written"
+KERNEL_OPERANDS = {
+    "qp1": dict(z1=W, zsum=R, lam=R, z2=R, x=R, columns=R, H1_inv=R, z1_lb=R, z1_ub=R),
+    "qp2": dict(z1=R, z2_spare=W, z3=R, lam=R, columns=R, ts_r=R, M2=R, work=W, q2=W),
+    "qp3_rhs": dict(
+        z1=R, rhs=W, q3=W, work=W, prod=W, z2=R, lam=R, columns=R, H3_inv=R, AB=R
+    ),
+    "qp3_update": dict(q3=R, z3_spare=W, rhs=R, prod=W, AB=R, H3_inv=R),
+    "residual": dict(z1=R, gamma=W, zsum=W, z2=R, z3=R, x=R),
+    "duals": dict(lam=W, columns=R, gamma=R),
+    "dual_residual": dict(z3=R, z3_spare=R, z2=R, z2_spare=R, columns=R, work=W),
+    "band_solve": dict(band=R, rhs=W),
+    "solve": dict(
+        z1=W, z2=W, z3=W, lam=W, gamma=W, zsum=W, z2_spare=W, z3_spare=W, q2=W, q3=W, work=W,
+        prod=W, rhs=W, x=R, ts_r=R, AB=R, columns=R, H1_inv=R, z1_lb=R, z1_ub=R, M2=R, H3_inv=R,
+        band=R,
+    ),
+}
+
+
+@functools.cache
+def kernel_calls():
+    """Per entry point, the names and copies of the arguments the solver
+    passes it: the stages as one eadmm_step and one dual_residual call
+    them, and solve as solve_operands lists them."""
+    problem = pendulum_problem(N=12)
+    offline = build_offline(problem, with_warmstart=False)
+    state = random_state(np.random.default_rng(47), problem)
+    x, rho = np.array([0.1, -0.2, 1.0]), problem.rho
+    ts_r, AB = linear_terms(problem, np.zeros(problem.n + problem.m))
+    real, calls = kernel.load(), {}
+
+    def recorded(entry, args):
+        sc = state.scratch
+        known = dict(
+            z1=state.z1, z2=state.z2, z3=state.z3, lam=state.lam, gamma=state.gamma,
+            zsum=sc.zsum, z2_spare=sc.z2, z3_spare=sc.z3, q2=sc.q2, q3=sc.q3, work=sc.work,
+            prod=sc.prod, rhs=sc.rhs, x=x, ts_r=ts_r, AB=AB, columns=rho.columns,
+            H1_inv=offline.H1_inv, z1_lb=offline.z1_lb, z1_ub=offline.z1_ub, M2=offline.M2,
+            H3_inv=offline.H3_inv, band=offline.band,
+        )
+        names = {id(a): name for name, a in known.items()}
+        if entry not in calls:  # copied before the call writes its outputs
+            calls[entry] = [(names.get(id(a)), copied_argument(a)) for a in args]
+        return getattr(real, entry)(*args)
+
+    class Recorder:
+        def __getattr__(self, entry):
+            return lambda *args: recorded(entry, args)
+
+    solver_load = kernel.load
+    kernel.load = Recorder
+    try:
+        eadmm_step(state, offline, rho, x, ts_r, AB)
+        dual_residual(state.scratch.z2, state.scratch.z3, state, rho)
+    finally:
+        kernel.load = solver_load
+    operands = solver.solve_operands(state, offline, rho, x, ts_r, AB)
+    recorded("solve", (*operands, problem.config.epsilon, False, 50))
+    return calls
+
+
+def copied_argument(a):
+    return a.copy(order="K") if isinstance(a, np.ndarray) else a
+
+
+def wrong_order(a):
+    """The same values in the other memory order; a strided view for a vector."""
+    if a.ndim == 1:
+        return np.repeat(a, 2)[::2]
+    return np.ascontiguousarray(a) if a.flags.f_contiguous else np.asfortranarray(a)
+
+
+def wrong_shape(a, first):
+    """One column for an entry point's first operand, whose shape sets the
+    others'; one more last extent for any other."""
+    if first:
+        return a[:, :1].copy()
+    return np.zeros(a.shape[:-1] + (a.shape[-1] + 1,))
+
+
+def read_only(a):
+    a = a.copy(order="K")
+    a.flags.writeable = False
+    return a
+
+
+@pytest.mark.parametrize(
+    "entry, name", [(entry, name) for entry, ops in KERNEL_OPERANDS.items() for name in ops]
+)
+def test_kernel_checks_every_operand(entry, name):
+    """A wrong dtype, the wrong memory order, a wrong shape and, for an
+    output, a read-only array: each raises DimensionMismatch naming the
+    operand, and no array is written. For x the wrong shape has n + m rows,
+    one more than the kernel takes."""
+    given = kernel_calls()[entry]  # the arrays, then solve's three scalars
+    names = [n for n, a in given if isinstance(a, np.ndarray)]
+    assert sorted(names) == sorted(KERNEL_OPERANDS[entry])
+    at = names.index(name)
+    spoilers = [
+        lambda a: np.zeros_like(a, dtype=np.float32),
+        wrong_order,
+        lambda a: wrong_shape(a, at == 0),
     ]
-
-
-def test_kernel_solve_checks_operands_before_reading(problem, offline):
-    """A wrong dtype, shape or memory order, or a read-only output, raises
-    DimensionMismatch naming the operand, and no array is written."""
-    n, m, N = problem.n, problem.m, problem.N
-    x, r = np.array([0.1, -0.2, 1.0]), np.zeros(n + m)
-    args = kernel_solve_args(problem, offline, cold_start(n, m, N), x, r)
-    args[:27] = [a.copy(order="K") for a in args[:27]]  # filled below; the fixtures stay
-
-    def read_only(a):
-        a = a.copy()
-        a.flags.writeable = False
-        return a
-
-    bad = [
-        (13, "x", lambda a: a.astype(np.float32)),
-        (2, "z3", lambda a: a[:, :-1].copy()),
-        (3, "lam", np.asfortranarray),
-        (4, "gamma", read_only),
-        (6, "z2 buffer", read_only),
-        (11, "prod", lambda a: a.T.copy()),
-        (15, "AB", lambda a: a.T),
-        (19, "columns", lambda a: a.astype(int)),
-        (26, "band", np.ascontiguousarray),
-    ]
-    solve = kernel.load().solve
-    for at, name, spoil in bad:
-        given = list(args)
-        given[at] = spoil(given[at])
-        for a in given[:27]:
+    if KERNEL_OPERANDS[entry][name] == W:
+        spoilers.append(read_only)
+    fn = getattr(kernel.load(), entry)
+    for spoil in spoilers:
+        args = [copied_argument(a) for _, a in given]
+        args[at] = spoil(args[at])
+        arrays = [a for a in args if isinstance(a, np.ndarray)]
+        for a in arrays:
             if a.flags.writeable:
                 a[...] = 7.0
-        before = [a.tobytes() for a in given[:27]]
+        before = [a.tobytes() for a in arrays]
         with pytest.raises(DimensionMismatch, match=f"^{name} must be"):
-            solve(*given)
-        assert [a.tobytes() for a in given[:27]] == before, name
-    solve(*args)  # the unspoilt arguments are accepted
+            fn(*args)
+        assert [a.tobytes() for a in arrays] == before, spoil
+    fn(*[copied_argument(a) for _, a in given])  # the unspoilt arguments pass
