@@ -1,32 +1,41 @@
 /*
- * Compiled extended-ADMM iteration (see solver.py).
+ * Compiled extended-ADMM iteration (see solver.py), its warm-start shift and
+ * the pendulum plant's RK4 step (see pendulum.py).
  *
  * Each stage_* function is the arithmetic of one stage of the iteration on
  * the operands of a struct eadmm. Every element comes from the same IEEE
- * expression, in the same order, as the numpy expression it replaces:
+ * expression, in the same order, as the numpy or Python expression it
+ * replaces:
  *
  *  - elementwise operations keep numpy's operand order and association;
  *    the build flags forbid contracting them into fused multiply-adds;
  *  - a row sum is np.add.reduce's: 0 plus numpy's pairwise sum;
  *  - abs-max and clip propagate NaN as numpy's maximum and clip do;
- *  - the three small matrix products are the BLAS calls np.dot makes and
- *    the band solve is LAPACK's dpbtrs, all through the pointers
- *    scipy.linalg.cython_blas and cython_lapack export.
+ *  - the small matrix products are the BLAS calls numpy's dot and matmul
+ *    make and the band solve is LAPACK's dpbtrs, all through the pointers
+ *    scipy.linalg.cython_blas and cython_lapack export;
+ *  - the plant calls libm's cos, sin and pow as Python's math.cos, math.sin
+ *    and float ** do; the build flags keep the compiler from folding
+ *    pow(v, 2.0) into v * v, which rounds differently for some v, and from
+ *    merging cos and sin into one sincos call, which Python never makes.
  *
  * The entry points are one per stage, which the Python stage functions
  * call; band_solve, the band solve alone, which is the package's only
- * binding of dpbtrs (solver.banded_forward_backward); and solve, which runs
- * a whole solve's loop of stages, exit tests and buffer swaps in one call.
+ * binding of dpbtrs (solver.banded_forward_backward); solve, which runs a
+ * whole solve's loop of stages, exit tests and buffer swaps in one call;
+ * warm_shift, the body of solver.warmstart_predict; and plant_step, the
+ * body of pendulum.rk4_step.
  *
  * Every entry point binds its arguments through bind(), which reads the
  * operand table: each operand's name, shape and slot in struct eadmm are
  * stated there once, and an entry point lists only which operands it takes,
  * in argument order, and which of them it writes. An argument must be an
  * aligned, native-order, C-contiguous float64 array (the band
- * Fortran-contiguous) of the shape the call's first operand and its x or
- * [A B] imply, and writeable if the call writes it; otherwise
- * DimensionMismatch, raised before anything is read. The kernel allocates
- * nothing and writes only into the arrays it is given as outputs.
+ * Fortran-contiguous) of the shape the call's first operand and its x,
+ * [A B] or warm-start gain imply (the plant's operands have fixed shapes),
+ * and writeable if the call writes it; otherwise DimensionMismatch, raised
+ * before anything is read. The kernel allocates nothing and writes only
+ * into the arrays it is given as outputs.
  */
 #define PY_SSIZE_T_CLEAN
 #define NPY_NO_DEPRECATED_API NPY_1_7_API_VERSION
@@ -34,6 +43,7 @@
 #include <numpy/arrayobject.h>
 #include <math.h>
 #include <stddef.h>
+#include <string.h>
 
 typedef void dgemm_fn(char *, char *, int *, int *, int *, double *, double *,
                       int *, double *, int *, double *, double *, int *);
@@ -45,30 +55,41 @@ typedef void dpbtrs_fn(char *, int *, int *, int *, double *, int *, double *,
 static dgemm_fn *dgemm;
 static dgemv_fn *dgemv;
 static dpbtrs_fn *dpbtrs;
-static PyObject *DimensionMismatch;
+static PyObject *DimensionMismatch, *SingularConfiguration;
 
-/* The operands of the iteration. n states, nm = n + m rows and cols = N + 1
-   columns; every BLAS and LAPACK extent derived from them was checked to fit
-   an int by bind(). z2 and z3 are the current iterates and z2_spare and
-   z3_spare their second buffers: solve_qp2 and solve_qp3 write the next
-   iterate into the spare, the two are swapped, and the spare then holds the
-   previous iterate, which the dual residual reads. columns holds every
-   penalty in the duals' layout: rho0 at [i, 0], rho_hat at [i, j + 1] and
-   rho_s at [i, N + 2]. */
+/* The operands of the entry points. n states, nm = n + m rows and
+   cols = N + 1 columns; every BLAS and LAPACK extent derived from them was
+   checked to fit an int by bind(). z2 and z3 are the current iterates and
+   z2_spare and z3_spare their second buffers: solve_qp2 and solve_qp3 write
+   the next iterate into the spare, the two are swapped, and the spare then
+   holds the previous iterate, which the dual residual reads. columns holds
+   every penalty in the duals' layout: rho0 at [i, 0], rho_hat at [i, j + 1]
+   and rho_s at [i, N + 2]. The warm-start shift reads the previous solution
+   prev_*, the two measured states and the gain's three blocks; the plant
+   step reads the plant's state and input and writes next_state. */
 struct eadmm {
     npy_intp n, nm, cols;
     double *z1, *z2, *z3, *lam, *gamma, *z2_spare, *z3_spare;
     double *zsum, *q2, *q3, *work, *prod, *rhs;
     double *x, *ts_r, *AB, *columns, *H1_inv, *z1_lb, *z1_ub, *M2, *H3_inv, *band;
+    double *prev_z1, *prev_z2, *prev_z3, *prev_lam, *x_prev, *x_next;
+    double *P_z2, *P_z3_head, *P_lambda_head;
+    double *state, *u, *next_state;
 };
 
+/* The plant's state (phi, phi_dot, theta_dot) and input (theta_ddot). */
+enum { PLANT_STATES = 3, PLANT_INPUTS = 1 };
+
 /* The extents an operand's shape is stated in: n, nm, cols, cols + 2,
-   N = cols - 1, N n and 2n; VEC as the second extent marks a vector. */
-enum { VEC, EXT_N, EXT_NM, EXT_COLS, EXT_LC, EXT_H, EXT_NH, EXT_2N, EXTENTS };
+   N = cols - 1, N n, 2n and the plant's fixed sizes; VEC as the second
+   extent marks a vector. */
+enum { VEC, EXT_N, EXT_NM, EXT_COLS, EXT_LC, EXT_H, EXT_NH, EXT_2N, EXT_PX, EXT_PU, EXTENTS };
 
 enum {
     Z1, Z2, Z3, LAM, GAMMA, Z2_SPARE, Z3_SPARE, ZSUM, Q2, Q3, WORK, PROD, RHS,
     X, TS_R, AB, COLUMNS, H1_INV, Z1_LB, Z1_UB, M2, H3_INV, BAND,
+    PREV_Z1, PREV_Z2, PREV_Z3, PREV_LAM, X_PREV, X_NEXT, P_Z2, P_Z3_HEAD, P_LAMBDA_HEAD,
+    STATE, U, NEXT_STATE,
 };
 
 static const struct operand {
@@ -100,6 +121,18 @@ static const struct operand {
     OPERAND(M2, M2, EXT_NM, EXT_NM),
     OPERAND(H3_INV, H3_inv, EXT_NM, EXT_COLS),
     OPERAND(BAND, band, EXT_2N, EXT_NH), /* Fortran-ordered, as dpbtrs reads it */
+    OPERAND(PREV_Z1, prev_z1, EXT_NM, EXT_COLS),
+    OPERAND(PREV_Z2, prev_z2, EXT_NM, VEC),
+    OPERAND(PREV_Z3, prev_z3, EXT_NM, EXT_COLS),
+    OPERAND(PREV_LAM, prev_lam, EXT_NM, EXT_LC),
+    OPERAND(X_PREV, x_prev, EXT_N, VEC),
+    OPERAND(X_NEXT, x_next, EXT_N, VEC),
+    OPERAND(P_Z2, P_z2, EXT_NM, EXT_N),
+    OPERAND(P_Z3_HEAD, P_z3_head, EXT_N, EXT_N),
+    OPERAND(P_LAMBDA_HEAD, P_lambda_head, EXT_2N, EXT_N),
+    OPERAND(STATE, state, EXT_PX, VEC),
+    OPERAND(U, u, EXT_PU, VEC),
+    OPERAND(NEXT_STATE, next_state, EXT_PX, VEC),
 #undef OPERAND
 };
 
@@ -108,9 +141,11 @@ static const struct operand {
 
 /* Fills `e` from the arguments of entry point `fn`: the arrays of `uses`
    (operand ids, OUT for the written ones) in that order, then `scalars`
-   other arguments. (nm, cols) come from the first array, n from x or [A B]
-   (1 to nm - 1 rows); band_solve's first array, the band, gives n and cols.
-   Returns 0, or -1 with the error set before any element was read. */
+   other arguments. (nm, cols) come from the first array, n from the first
+   operand with n rows, x, [A B] or P_z3_head (1 to nm - 1 rows);
+   band_solve's first array, the band, gives n and cols, and plant_step's
+   operands have fixed shapes. Returns 0, or -1 with the error set before
+   any element was read. */
 static int
 bind(struct eadmm *e, const char *fn, PyObject *const *args, Py_ssize_t nargs,
      const unsigned char *uses, Py_ssize_t count, Py_ssize_t scalars)
@@ -122,15 +157,18 @@ bind(struct eadmm *e, const char *fn, PyObject *const *args, Py_ssize_t nargs,
     }
     const struct operand *lead = &operands[uses[0] & ~OUT];
     PyArrayObject *a = (PyArrayObject *)args[0];
-    int pad = lead->d1 == EXT_LC ? 2 : 0;
-    if (!PyArray_Check(args[0]) || PyArray_NDIM(a) != 2 || PyArray_DIM(a, 0) < 1
-        || PyArray_DIM(a, 1) < 2 + pad) {
-        PyErr_Format(DimensionMismatch, "%s must be a two-dimensional array with at least %d columns",
-                     lead->name, 2 + pad);
-        return -1;
+    npy_intp n = 0, nm = 0, cols = 0;
+    if (lead->d0 != EXT_PX) {
+        int pad = lead->d1 == EXT_LC ? 2 : 0;
+        if (!PyArray_Check(args[0]) || PyArray_NDIM(a) != 2 || PyArray_DIM(a, 0) < 1
+            || PyArray_DIM(a, 1) < 2 + pad) {
+            PyErr_Format(DimensionMismatch, "%s must be a two-dimensional array with at least %d columns",
+                         lead->name, 2 + pad);
+            return -1;
+        }
+        nm = PyArray_DIM(a, 0), cols = PyArray_DIM(a, 1) - pad;
     }
-    npy_intp n = 0, nm = PyArray_DIM(a, 0), cols = PyArray_DIM(a, 1) - pad;
-    Py_ssize_t from = 0; /* the operand with n rows: x or [A B] */
+    Py_ssize_t from = 0; /* the operand with n rows */
     while (from < count && operands[uses[from] & ~OUT].d0 != EXT_N)
         from++;
     if (lead->d0 == EXT_2N) { /* band_solve's band, (2n, N n) */
@@ -148,7 +186,9 @@ bind(struct eadmm *e, const char *fn, PyObject *const *args, Py_ssize_t nargs,
         }
         n = PyArray_DIM(a, 0);
     }
-    npy_intp ext[EXTENTS] = {-1, n, nm, cols, cols + 2, cols - 1, (cols - 1) * n, 2 * n};
+    npy_intp ext[EXTENTS] = {
+        -1, n, nm, cols, cols + 2, cols - 1, (cols - 1) * n, 2 * n, PLANT_STATES, PLANT_INPUTS,
+    };
     for (int k = 1; k < EXTENTS; k++)
         if (ext[k] > INT_MAX) {
             PyErr_SetString(DimensionMismatch, "dimension exceeds the BLAS integer range");
@@ -423,6 +463,109 @@ stage_dual_residual(const struct eadmm *e)
     return m2 > m1 ? m2 : m1;
 }
 
+/* y = G dx for a C-ordered gain G of `rows` x n, as numpy's G @ dx computes
+   it: for n = 1 matmul's plain loop, 0 + G[i] dx[0] (its dot, taken for a
+   1 x 1 G, gives the same); otherwise dgemv 'T' on G's column-major view. */
+static void
+gain_product(const double *G, npy_intp rows, npy_intp n, const double *dx, double *y)
+{
+    if (n == 1) {
+        for (npy_intp i = 0; i < rows; i++)
+            y[i] = 0.0 + G[i] * dx[0];
+        return;
+    }
+    char t = 'T';
+    int bn = (int)n, brows = (int)rows, one = 1;
+    double alpha = 1.0, beta = 0.0;
+    dgemv(&t, &bn, &brows, &alpha, (double *)G, &bn, (double *)dx, &one, &beta, y, &one);
+}
+
+/* warmstart_predict: z1, z2, z3 and lam become copies of prev_*; with
+   dx = x_next - x_prev, z2 -= P_z2 dx, z3[:n, 0] -= P_z3_head dx,
+   lam[:n, 0] -= P_lambda_head[:n] dx and lam[:n, 1] -= P_lambda_head[n:] dx.
+   gamma holds dx and the products meanwhile and is zero at the end. */
+static void
+stage_warm_shift(const struct eadmm *e)
+{
+    npy_intp n = e->n, nm = e->nm, cols = e->cols, lc = cols + 2;
+    memcpy(e->z1, e->prev_z1, nm * cols * sizeof(double));
+    memcpy(e->z2, e->prev_z2, nm * sizeof(double));
+    memcpy(e->z3, e->prev_z3, nm * cols * sizeof(double));
+    memcpy(e->lam, e->prev_lam, nm * lc * sizeof(double));
+    double *dx = e->gamma, *y = e->gamma + n;
+    for (npy_intp a = 0; a < n; a++)
+        dx[a] = e->x_next[a] - e->x_prev[a];
+    gain_product(e->P_z2, nm, n, dx, y);
+    for (npy_intp i = 0; i < nm; i++)
+        e->z2[i] -= y[i];
+    gain_product(e->P_z3_head, n, n, dx, y);
+    for (npy_intp a = 0; a < n; a++)
+        e->z3[a * cols] -= y[a];
+    for (npy_intp k = 0; k < 2; k++) {
+        gain_product(e->P_lambda_head + k * n * n, n, n, dx, y);
+        for (npy_intp a = 0; a < n; a++)
+            e->lam[a * lc + k] -= y[a];
+    }
+    memset(e->gamma, 0, nm * lc * sizeof(double));
+}
+
+/* The plant's parameter products, each in the order it multiplies
+   (pendulum._coefficients). */
+struct plant {
+    double inertia, mrl, mgl, wheel;
+};
+
+/* pendulum._phi_ddot: the body's angular acceleration into *out. Returns 0,
+   or -1 with SingularConfiguration set where the denominator vanishes. */
+static int
+phi_ddot(const struct plant *p, double phi, double phi_dot, double u, double *out)
+{
+    double cos_phi = cos(phi), sin_phi = sin(phi);
+    double den = p->inertia + p->mrl * cos_phi;
+    if (fabs(den) < 1e-12) {
+        char *d = PyOS_double_to_string(den, 'e', 3, 0, NULL);
+        char *f = PyOS_double_to_string(phi, 'f', 6, 0, NULL);
+        if (d && f)
+            PyErr_Format(SingularConfiguration, "dynamics denominator %s at phi=%s", d, f);
+        PyMem_Free(d);
+        PyMem_Free(f);
+        return -1;
+    }
+    *out = (p->mrl * pow(phi_dot, 2.0) * sin_phi + p->mgl * sin_phi
+            - (p->wheel + p->mrl * cos_phi) * u) / den;
+    return 0;
+}
+
+/* rk4_step: `substeps` classical RK4 steps of length h from state under the
+   held input u into next_state, each stage as pendulum.rk4_step wrote it on
+   Python floats. Returns 0, or -1 with SingularConfiguration set and
+   next_state not written. */
+static int
+stage_plant(const struct eadmm *e, const struct plant *p, double h, Py_ssize_t substeps)
+{
+    double half = 0.5 * h, sixth = h / 6.0, u = e->u[0];
+    double phi = e->state[0], phi_dot = e->state[1], theta_dot = e->state[2];
+    for (Py_ssize_t k = 0; k < substeps; k++) {
+        double a1, a2, a3, a4;
+        if (phi_ddot(p, phi, phi_dot, u, &a1))
+            return -1;
+        double p2 = phi + half * phi_dot, v2 = phi_dot + half * a1;
+        if (phi_ddot(p, p2, v2, u, &a2))
+            return -1;
+        double p3 = phi + half * v2, v3 = phi_dot + half * a2;
+        if (phi_ddot(p, p3, v3, u, &a3))
+            return -1;
+        double p4 = phi + h * v3, v4 = phi_dot + h * a3;
+        if (phi_ddot(p, p4, v4, u, &a4))
+            return -1;
+        phi = phi + sixth * (phi_dot + 2 * v2 + 2 * v3 + v4);
+        phi_dot = phi_dot + sixth * (a1 + 2 * a2 + 2 * a3 + a4);
+        theta_dot = theta_dot + sixth * (u + 2 * u + 2 * u + u);
+    }
+    e->next_state[0] = phi, e->next_state[1] = phi_dot, e->next_state[2] = theta_dot;
+    return 0;
+}
+
 static PyObject *
 rejected_band_argument(int info)
 {
@@ -566,17 +709,48 @@ solve(PyObject *Py_UNUSED(self), PyObject *const *args, Py_ssize_t nargs)
     return Py_BuildValue("(indd)", status, k, res, dual);
 }
 
+/* warm_shift(<its 14 arrays, in the order below>): the new state's z1, z2,
+   z3, lam and gamma from the previous solution prev_* and the gain, as
+   solver.warmstart_predict builds them. */
+static PyObject *
+warm_shift(PyObject *Py_UNUSED(self), PyObject *const *args, Py_ssize_t nargs)
+{
+    BIND(0, PREV_Z1, PREV_Z2, PREV_Z3, PREV_LAM, P_Z3_HEAD, P_Z2, P_LAMBDA_HEAD, X_PREV, X_NEXT,
+         Z1 | OUT, Z2 | OUT, Z3 | OUT, LAM | OUT, GAMMA | OUT);
+    stage_warm_shift(&e);
+    Py_RETURN_NONE;
+}
+
+/* plant_step(next_state, state, u, h, substeps, inertia, mrl, mgl, wheel):
+   next_state from state after `substeps` RK4 steps of length h. */
+static PyObject *
+plant_step(PyObject *Py_UNUSED(self), PyObject *const *args, Py_ssize_t nargs)
+{
+    BIND(6, NEXT_STATE | OUT, STATE, U);
+    PyObject *const *scalars = args + sizeof uses;
+    double h = PyFloat_AsDouble(scalars[0]);
+    Py_ssize_t substeps = PyNumber_AsSsize_t(scalars[1], PyExc_OverflowError);
+    struct plant p = {
+        PyFloat_AsDouble(scalars[2]), PyFloat_AsDouble(scalars[3]),
+        PyFloat_AsDouble(scalars[4]), PyFloat_AsDouble(scalars[5]),
+    };
+    if (PyErr_Occurred() || stage_plant(&e, &p, h, substeps))
+        return NULL;
+    Py_RETURN_NONE;
+}
+
 #define FAST(name) {#name, (PyCFunction)(void (*)(void))name, METH_FASTCALL, NULL}
 
 static PyMethodDef methods[] = {
     FAST(qp1), FAST(qp2), FAST(qp3_rhs), FAST(qp3_update),
     FAST(residual), FAST(duals), FAST(dual_residual),
-    FAST(band_solve), FAST(solve),
+    FAST(band_solve), FAST(solve), FAST(warm_shift), FAST(plant_step),
     {NULL, NULL, 0, NULL},
 };
 
 static struct PyModuleDef module = {
-    PyModuleDef_HEAD_INIT, "_kernel", "Compiled extended-ADMM iteration.", -1, methods,
+    PyModuleDef_HEAD_INIT, "_kernel",
+    "Compiled extended-ADMM iteration, warm-start shift and plant step.", -1, methods,
     NULL, NULL, NULL, NULL,
 };
 
@@ -610,8 +784,9 @@ PyInit__kernel(void)
     if (errors == NULL)
         return NULL;
     DimensionMismatch = PyObject_GetAttrString(errors, "DimensionMismatch");
+    SingularConfiguration = PyObject_GetAttrString(errors, "SingularConfiguration");
     Py_DECREF(errors);
-    if (DimensionMismatch == NULL)
+    if (DimensionMismatch == NULL || SingularConfiguration == NULL)
         return NULL;
     dgemm = (dgemm_fn *)scipy_function("scipy.linalg.cython_blas", "dgemm");
     dgemv = dgemm ? (dgemv_fn *)scipy_function("scipy.linalg.cython_blas", "dgemv") : NULL;

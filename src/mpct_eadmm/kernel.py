@@ -1,4 +1,5 @@
-"""Build and load the compiled eADMM iteration (``_kernel.c``).
+"""Build and load the compiled kernel (``_kernel.c``): the eADMM iteration,
+its warm-start shift and the pendulum plant's RK4 step.
 
 The C source is compiled once per machine, by the compiler Python was built
 with (``sysconfig``'s ``CC``), into the package's ``__pycache__``. The file
@@ -29,9 +30,16 @@ from .errors import KernelBuildFailure
 
 SOURCE = Path(__file__).with_name("_kernel.c")
 CACHE = SOURCE.parent / "__pycache__"
-# The kernel must evaluate every element exactly as numpy does, so nothing
-# may contract a multiply and an add into one rounding or reorder a sum.
-FLAGS = ("-O2", "-ffp-contract=off", "-fPIC", "-shared")
+# The kernel must evaluate every element exactly as numpy and Python do, so
+# nothing may contract a multiply and an add into one rounding or reorder a
+# sum, and the plant's libm calls stay the calls Python makes: gcc would fold
+# pow(v, 2.0) into v * v and merge cos and sin of one angle into sincos.
+FLAGS = (
+    "-O2", "-ffp-contract=off", "-fno-builtin-pow", "-fno-builtin-sin", "-fno-builtin-cos",
+    "-fPIC", "-shared",
+)
+# Link flags: the plant calls libm.
+LIBS = ("-lm",)
 # Lines of the compiler's standard error quoted by a failed build.
 STDERR_LINES = 20
 
@@ -44,6 +52,7 @@ def compile_command():
         *FLAGS,
         *(f"-I{path}" for path in includes),
         str(SOURCE),
+        *LIBS,
     ]
 
 

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import kernel
 from .errors import MissingWarmstartGain, NumericalBreakdown, SingularConfiguration
 from .problem import CostWeights, MpctConfig, SystemModel, build_rho, validate_problem
 from .solver import cold_start, eadmm_solve, warmstart_predict
@@ -108,7 +109,11 @@ def _coefficients(p):
 
 
 def _phi_ddot(phi, phi_dot, u, coefficients):
-    """Body angular acceleration on Python floats; the one formula of the plant."""
+    """Body angular acceleration on Python floats, for :func:`dynamics`.
+
+    The kernel's plant step, behind :func:`rk4_step`, evaluates the same
+    expression in C.
+    """
     inertia, mrl, mgl, wheel = coefficients
     cos_phi, sin_phi = math.cos(phi), math.sin(phi)
     den = inertia + mrl * cos_phi
@@ -127,27 +132,24 @@ def dynamics(state, u, params):
 def rk4_step(state, u, Ts, substeps, params):
     """Classical fourth-order Runge-Kutta with zero-order-hold input.
 
-    Runs on Python floats: at three states a numpy call costs far more than
-    its arithmetic. Each stage evaluates the same expressions, in the same
-    order, as the vector form x + h k with k = :func:`dynamics`.
+    One kernel call runs every substep. Each stage evaluates the same
+    expressions, in the same order, as the vector form x + h k with
+    k = :func:`dynamics`, and calls libm's cos, sin and pow as
+    :func:`dynamics` does through ``math`` and ``**``; a state that
+    overflows them gives NaN or infinite entries, as numpy floats would.
+    ``state`` must have exactly 3 entries and ``u``, a number or an array,
+    exactly 1; anything else raises :class:`DimensionMismatch`.
     """
-    h = Ts / substeps
-    half, sixth = 0.5 * h, h / 6.0
-    phi, phi_dot, theta_dot = np.asarray(state, dtype=float).tolist()
-    u = float(np.asarray(u).ravel()[0])
-    c = _coefficients(params)
-    for _ in range(substeps):
-        a1 = _phi_ddot(phi, phi_dot, u, c)
-        p2, v2 = phi + half * phi_dot, phi_dot + half * a1
-        a2 = _phi_ddot(p2, v2, u, c)
-        p3, v3 = phi + half * v2, phi_dot + half * a2
-        a3 = _phi_ddot(p3, v3, u, c)
-        p4, v4 = phi + h * v3, phi_dot + h * a3
-        a4 = _phi_ddot(p4, v4, u, c)
-        phi = phi + sixth * (phi_dot + 2 * v2 + 2 * v3 + v4)
-        phi_dot = phi_dot + sixth * (a1 + 2 * a2 + 2 * a3 + a4)
-        theta_dot = theta_dot + sixth * (u + 2 * u + 2 * u + u)
-    return np.array([phi, phi_dot, theta_dot])
+    out = np.empty(3)
+    kernel.load().plant_step(
+        out, _entries(state), _entries(u), Ts / substeps, substeps, *_coefficients(params)
+    )
+    return out
+
+
+def _entries(value):
+    """``value`` as a flat C-contiguous float64 array, a view where it is one."""
+    return np.ascontiguousarray(value, dtype=float).reshape(-1)
 
 
 def scale_state(state, scale):

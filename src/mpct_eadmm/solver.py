@@ -11,7 +11,7 @@ At these array sizes a numpy call costs more than its arithmetic, so the
 iteration runs in a compiled C kernel (``_kernel.c``, built on first use by
 :mod:`.kernel`). :func:`eadmm_solve` makes one kernel call per solve, on the
 arrays :func:`solve_operands` lists: stages, exit tests, buffer swaps and
-the band solve all run in C. The kernel checks every entry point's operands
+the band solve all run in C. :func:`warmstart_predict` makes one more. The kernel checks every entry point's operands
 with one binder, and is the package's only binding of LAPACK's ``dpbtrs``.
 
 Each stage below also stays a Python function with its signature, making
@@ -400,24 +400,24 @@ def warmstart_predict(prev, gain, x_prev, x_next):
     Only the artificial reference, the leading state block of the deviation
     variables and the first two dual state blocks are updated; the trajectory
     block is left untouched since the first iteration overwrites it.
+
+    Returns a new :class:`SolverState` whose arrays share no memory with
+    ``prev``. One kernel call fills them: it copies prev's z1, z2, z3 and
+    lambda, subtracts the gain's four products with x_next - x_prev, each
+    the BLAS call numpy's ``@`` makes, and zeroes gamma. The previous
+    solution's arrays and the gain's blocks must be C-contiguous float64
+    arrays whose shapes fit each other, and the states must have n entries;
+    anything else raises :class:`DimensionMismatch`.
     """
     x_prev = np.asarray(x_prev, dtype=float).ravel()
     x_next = np.asarray(x_next, dtype=float).ravel()
-    n = gain.P_z3_head.shape[0]
-    if x_prev.shape != (n,) or x_next.shape != (n,):
-        raise DimensionMismatch(f"states must have shape ({n},)")
-    nm, cols = prev.z1.shape
-    state = SolverState(
-        z1=prev.z1.copy(),
-        z2=prev.z2.copy(),
-        z3=prev.z3.copy(),
-        lam=prev.lam.copy(),
-        gamma=np.zeros_like(prev.lam),
-        scratch=Scratch(n, nm - n, cols - 1),
+    z1, z2, z3, lam = (np.empty(a.shape) for a in (prev.z1, prev.z2, prev.z3, prev.lam))
+    gamma = np.empty(lam.shape)
+    kernel.load().warm_shift(
+        prev.z1, prev.z2, prev.z3, prev.lam, gain.P_z3_head, gain.P_z2, gain.P_lambda_head,
+        x_prev, x_next, z1, z2, z3, lam, gamma,
     )
-    dx = x_next - x_prev
-    state.z2 -= gain.P_z2 @ dx
-    state.z3[:n, 0] -= gain.P_z3_head @ dx
-    state.lam[:n, 0] -= gain.P_lambda_head[:n] @ dx
-    state.lam[:n, 1] -= gain.P_lambda_head[n:] @ dx
-    return state
+    n, (nm, cols) = x_prev.size, z1.shape
+    return SolverState(
+        z1=z1, z2=z2, z3=z3, lam=lam, gamma=gamma, scratch=Scratch(n, nm - n, cols - 1)
+    )

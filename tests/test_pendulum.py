@@ -1,9 +1,13 @@
 """Pendulum dynamics, integration and closed-loop harness tests."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from mpct_eadmm.errors import MissingWarmstartGain, SingularConfiguration
+from test_solver import reference_warmstart_predict
+
+from mpct_eadmm.errors import DimensionMismatch, MissingWarmstartGain, SingularConfiguration
 from mpct_eadmm.offline import build_offline
 from mpct_eadmm.pendulum import (
     PENDULUM_A,
@@ -19,6 +23,8 @@ from mpct_eadmm.pendulum import (
     scale_state,
     unscale_input,
 )
+from mpct_eadmm.problem import EXIT_TESTS, validate_problem
+from mpct_eadmm.solver import cold_start, eadmm_solve
 
 
 def test_equilibrium_derivative_zero():
@@ -115,13 +121,53 @@ def test_rk4_bytes_match_numpy_reference():
         assert d.tobytes() == reference_dynamics(state, float(np.ravel(u)[0]), params).tobytes(), k
 
 
+def test_rk4_squares_through_libm_pow():
+    """phi_dot ** 2 is libm's pow, as in Python, not phi_dot * phi_dot.
+
+    The two differ in the last bit for some doubles; at this step a build
+    that folded pow(v, 2.0) into v * v got phi_dot wrong by 1.78e-15.
+    """
+    state = np.array([-0.3552964303205943, -3.73485342415824, -69.56966637577787])
+    u = 18.82224538994916
+    got = rk4_step(state, u, 0.02, 10, PendulumParams())
+    want = reference_rk4_step(state, u, 0.02, 10, PendulumParams())
+    assert got.tobytes() == want.tobytes()
+
+
 def test_rk4_singular_configuration_raises():
     p = PendulumParams()
     singular = PendulumParams(I_yy=p.M_body * p.wheel_radius * p.L)
-    with pytest.raises(SingularConfiguration, match="dynamics denominator"):
+    with pytest.raises(SingularConfiguration, match="dynamics denominator") as got:
         rk4_step(np.array([np.pi, 0.0, 0.0]), 0.0, PENDULUM_TS, 10, singular)
-    with pytest.raises(SingularConfiguration):
+    with pytest.raises(SingularConfiguration) as want:
         reference_rk4_step(np.array([np.pi, 0.0, 0.0]), 0.0, PENDULUM_TS, 10, singular)
+    assert str(got.value) == str(want.value)
+    assert str(got.value) == "dynamics denominator 0.000e+00 at phi=3.141593"
+
+
+def test_rk4_non_finite_values_propagate_like_numpy():
+    """An overflowing or infinite state gives the numpy form's NaN and
+    infinities (Python floats raised OverflowError or ValueError there); a
+    closed loop then aborts at its next solve."""
+    for state in ([0.0, 1e200, 0.0], [np.inf, 0.0, 0.0], [np.nan, 0.0, 1.0]):
+        got = rk4_step(np.array(state), 0.0, PENDULUM_TS, 10, PendulumParams())
+        with np.errstate(all="ignore"):
+            want = reference_rk4_step(np.array(state), 0.0, PENDULUM_TS, 10, PendulumParams())
+        assert not np.isfinite(got[:2]).any()
+        np.testing.assert_array_equal(got, want)
+
+
+def test_rk4_state_needs_three_entries():
+    for state in (np.zeros(2), np.zeros(4), [0.1, 0.2], np.zeros((2, 2))):
+        with pytest.raises(DimensionMismatch, match="^state must be"):
+            rk4_step(state, 0.0, PENDULUM_TS, 10, PendulumParams())
+
+
+def test_rk4_input_needs_one_entry():
+    """Not the first of several entries, as a two-entry input once gave."""
+    for u in (np.zeros(2), np.zeros(0), [1.0, 2.0]):
+        with pytest.raises(DimensionMismatch, match="^u must be"):
+            rk4_step(np.zeros(3), u, PENDULUM_TS, 10, PendulumParams())
 
 
 def test_scaling_round_trip():
@@ -164,6 +210,50 @@ def test_closed_loop_honors_input_bound(warm_trajectory, cold_trajectory):
         assert np.abs(traj.inputs).max() <= 90.0 + 1e-9
         assert not traj.aborted
         assert len(traj.states) == len(traj.inputs) + 1
+
+
+def reference_closed_loop(problem, offline, sim, x0, reference, warmstart):
+    """closed_loop's steps from the numpy plant and warm start, with
+    eadmm_solve and cold_start: (states, inputs, refs, iterations,
+    residuals, certified)."""
+    n, m, N = problem.n, problem.m, problem.N
+    states, rows = [np.asarray(x0, dtype=float)], []
+    prev = x_prev = None
+    for k in range(sim.steps):
+        x = scale_state(states[k], sim.scale)
+        if warmstart and prev is not None:
+            init = reference_warmstart_predict(prev, offline.warmstart, x_prev, x)
+        else:
+            init = cold_start(n, m, N)
+        result = eadmm_solve(offline, problem, x, reference, init)
+        u = unscale_input(result.u0, sim.scale)
+        rows.append((u, result.xs_us, result.iterations, result.residual_inf, result.certified))
+        states.append(reference_rk4_step(states[k], u, sim.Ts, sim.substeps, PendulumParams()))
+        prev, x_prev = result, x
+    inputs, refs, iters, residuals, certified = (np.array(column) for column in zip(*rows))
+    return np.array(states), inputs, refs, iters, residuals, certified
+
+
+@pytest.mark.parametrize("exit_test", EXIT_TESTS)
+def test_closed_loop_bytes_match_reference_loop(problem, offline, benchmark_x0, exit_test):
+    """50 warm and 50 cold steps at N = 12: states, inputs, artificial
+    references, iterations, residuals and flags equal the reference loop's
+    byte for byte."""
+    config = replace(problem.config, exit_test=exit_test)
+    target = validate_problem(problem.model, problem.costs, config, problem.rho)
+    sim, r = SimConfig(steps=50), np.zeros(problem.n + problem.m)
+    for warmstart in (True, False):
+        traj = closed_loop(target, offline, sim, benchmark_x0, r, warmstart=warmstart)
+        want = reference_closed_loop(target, offline, sim, benchmark_x0, r, warmstart)
+        got = (
+            traj.states, traj.inputs, traj.artificial_refs, traj.iterations, traj.residuals,
+            traj.certified,
+        )
+        assert not traj.aborted
+        names = ("states", "inputs", "refs", "iterations", "residuals", "certified")
+        for name, a, b in zip(names, got, want):
+            assert a.dtype == b.dtype and a.shape == b.shape, (name, warmstart)
+            assert a.tobytes() == b.tobytes(), (name, warmstart)
 
 
 def test_closed_loop_deterministic(problem, offline):

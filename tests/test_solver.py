@@ -12,6 +12,8 @@ from scipy.linalg.lapack import dpbtrs
 from mpct_eadmm import dense, kernel, solver
 from mpct_eadmm.errors import DimensionMismatch, NumericalBreakdown
 from mpct_eadmm.solver import (
+    Scratch,
+    SolverState,
     banded_forward_backward,
     cold_start,
     compute_residual,
@@ -26,7 +28,7 @@ from mpct_eadmm.solver import (
     warmstart_predict,
 )
 from mpct_eadmm.offline import build_offline, cholesky_band, factor_block_tridiagonal
-from mpct_eadmm.pendulum import pendulum_problem
+from mpct_eadmm.pendulum import PendulumParams, pendulum_problem, rk4_step
 from mpct_eadmm.problem import (
     EXIT_TESTS,
     CostWeights,
@@ -464,6 +466,78 @@ def test_iterates_bit_identical_to_reference_step(case):
     assert_steps_match_reference(problem, offline, warm, x_next, r)
 
 
+# The numpy form of warmstart_predict that the kernel's warm_shift replaced,
+# kept as the reference it must reproduce byte for byte.
+def reference_warmstart_predict(prev, gain, x_prev, x_next):
+    x_prev = np.asarray(x_prev, dtype=float).ravel()
+    x_next = np.asarray(x_next, dtype=float).ravel()
+    n = gain.P_z3_head.shape[0]
+    nm, cols = prev.z1.shape
+    state = SolverState(
+        z1=prev.z1.copy(),
+        z2=prev.z2.copy(),
+        z3=prev.z3.copy(),
+        lam=prev.lam.copy(),
+        gamma=np.zeros_like(prev.lam),
+        scratch=Scratch(n, nm - n, cols - 1),
+    )
+    dx = x_next - x_prev
+    state.z2 -= gain.P_z2 @ dx
+    state.z3[:n, 0] -= gain.P_z3_head @ dx
+    state.lam[:n, 0] -= gain.P_lambda_head[:n] @ dx
+    state.lam[:n, 1] -= gain.P_lambda_head[n:] @ dx
+    return state
+
+
+@pytest.mark.parametrize("case", range(9))
+def test_warm_shift_bit_identical_to_reference(case):
+    """z1, z2, z3, lambda and gamma of warmstart_predict against its numpy
+    form, byte for byte, from a solved state: to the case's next state, to
+    the same state, and by displacements spread over 16 decades. The cases
+    include n = 1, where numpy's ``@`` makes no BLAS call, and m > n. The
+    new state shares no memory with the previous solution."""
+    problem, x, x_next, r = match_cases()[case]
+    n = problem.n
+    offline = build_offline(problem)
+    prev = eadmm_solve(offline, problem, x, r)
+    rng = np.random.default_rng(53 + case)
+    targets = [x_next, x.copy()]
+    targets += [x + rng.standard_normal(n) * 10.0 ** rng.integers(-8, 8, n) for _ in range(20)]
+    sources = (prev.z1, prev.z2, prev.z3, prev.lam)
+    for k, target in enumerate(targets):
+        got = warmstart_predict(prev, offline.warmstart, x, target)
+        want = reference_warmstart_predict(prev, offline.warmstart, x, target)
+        for name in ITERATES:
+            a, b = getattr(got, name), getattr(want, name)
+            assert a.shape == b.shape and a.tobytes() == b.tobytes(), (name, k)
+            assert not any(np.shares_memory(a, source) for source in sources), (name, k)
+        for name in Scratch.__slots__:
+            assert getattr(got.scratch, name).shape == getattr(want.scratch, name).shape, name
+        assert not got.scratch.zsum.any() and got.iterations == 0
+
+
+def test_warmstart_predict_rejects_shapes_that_do_not_fit(problem, offline):
+    """A gain block, a previous solution or a state of the wrong shape is a
+    DimensionMismatch naming it, not numpy's broadcasting error."""
+    x, x_next = np.array([0.1, -0.2, 1.0]), np.array([0.12, -0.25, 0.97])
+    prev = eadmm_solve(offline, problem, x, np.zeros(problem.n + problem.m))
+    gain = offline.warmstart
+    bad = [
+        ("P_z2", prev, replace(gain, P_z2=np.zeros((6, 3))), x, x_next),
+        ("P_z3_head", prev, replace(gain, P_z3_head=np.zeros((3, 2))), x, x_next),
+        ("P_lambda_head", prev, replace(gain, P_lambda_head=np.zeros((3, 3))), x, x_next),
+        ("prev_z1", replace(prev, z1=np.zeros(4)), gain, x, x_next),
+        ("prev_z2", replace(prev, z2=np.zeros(6)), gain, x, x_next),
+        ("prev_z3", replace(prev, z3=np.zeros((4, 12))), gain, x, x_next),
+        ("prev_lam", replace(prev, lam=np.zeros((4, 13))), gain, x, x_next),
+        ("x_prev", prev, gain, x[:2], x_next),
+        ("x_next", prev, gain, x, np.append(x_next, 0.0)),
+    ]
+    for name, *args in bad:
+        with pytest.raises(DimensionMismatch, match=f"^{name} must be"):
+            warmstart_predict(*args)
+
+
 def test_state_reuse_across_solves_matches_reference_step():
     """Solves that continue one state, or a warm start from it, with new inputs.
 
@@ -785,20 +859,26 @@ KERNEL_OPERANDS = {
         prod=W, rhs=W, x=R, ts_r=R, AB=R, columns=R, H1_inv=R, z1_lb=R, z1_ub=R, M2=R, H3_inv=R,
         band=R,
     ),
+    "warm_shift": dict(
+        prev_z1=R, prev_z2=R, prev_z3=R, prev_lam=R, P_z3_head=R, P_z2=R, P_lambda_head=R,
+        x_prev=R, x_next=R, z1=W, z2=W, z3=W, lam=W, gamma=W,
+    ),
+    "plant_step": dict(next_state=W, state=R, u=R),
 }
 
 
 @functools.cache
 def kernel_calls():
-    """Per entry point, the names and copies of the arguments the solver
+    """Per entry point, the names and copies of the arguments the package
     passes it: the stages as one eadmm_step and one dual_residual call
-    them, and solve as solve_operands lists them."""
+    them, solve as solve_operands lists them, and warm_shift and plant_step
+    as warmstart_predict and rk4_step call them."""
     problem = pendulum_problem(N=12)
-    offline = build_offline(problem, with_warmstart=False)
+    offline = build_offline(problem)
     state = random_state(np.random.default_rng(47), problem)
     x, rho = np.array([0.1, -0.2, 1.0]), problem.rho
     ts_r, AB = linear_terms(problem, np.zeros(problem.n + problem.m))
-    real, calls = kernel.load(), {}
+    real, calls, passed = kernel.load(), {}, {}
 
     def recorded(entry, args):
         sc = state.scratch
@@ -812,7 +892,16 @@ def kernel_calls():
         names = {id(a): name for name, a in known.items()}
         if entry not in calls:  # copied before the call writes its outputs
             calls[entry] = [(names.get(id(a)), copied_argument(a)) for a in args]
+            passed[entry] = args
         return getattr(real, entry)(*args)
+
+    def named_after(entry, known):
+        """Names the arguments of ``entry`` by the arrays they share memory with."""
+        calls[entry] = [
+            (next((k for k, v in known.items() if np.shares_memory(a, v)), None), copy)
+            if isinstance(a, np.ndarray) else (None, copy)
+            for a, (_, copy) in zip(passed[entry], calls[entry])
+        ]
 
     class Recorder:
         def __getattr__(self, entry):
@@ -823,8 +912,18 @@ def kernel_calls():
     try:
         eadmm_step(state, offline, rho, x, ts_r, AB)
         dual_residual(state.scratch.z2, state.scratch.z3, state, rho)
+        x_next, gain = np.array([0.12, -0.25, 0.97]), offline.warmstart
+        warm = warmstart_predict(state, gain, x, x_next)
+        plant_state, u = np.array([0.01, 0.2, 3.0]), np.array([1.5])
+        next_state = rk4_step(plant_state, u, 0.02, 10, PendulumParams())
     finally:
         kernel.load = solver_load
+    named_after("warm_shift", dict(
+        prev_z1=state.z1, prev_z2=state.z2, prev_z3=state.z3, prev_lam=state.lam,
+        P_z3_head=gain.P_z3_head, P_z2=gain.P_z2, P_lambda_head=gain.P_lambda_head, x_prev=x,
+        x_next=x_next, z1=warm.z1, z2=warm.z2, z3=warm.z3, lam=warm.lam, gamma=warm.gamma,
+    ))
+    named_after("plant_step", dict(next_state=next_state, state=plant_state, u=u))
     operands = solver.solve_operands(state, offline, rho, x, ts_r, AB)
     recorded("solve", (*operands, problem.config.epsilon, False, 50))
     return calls
@@ -835,16 +934,22 @@ def copied_argument(a):
 
 
 def wrong_order(a):
-    """The same values in the other memory order; a strided view for a vector."""
+    """The same values in the other memory order; a strided view for a vector,
+    and a misaligned copy for a one-entry vector, which numpy counts as
+    contiguous at any stride."""
+    if a.shape == (1,):
+        misaligned = np.zeros(a.nbytes + 1, dtype=np.uint8)[1:].view(np.float64)
+        misaligned[...] = a
+        return misaligned
     if a.ndim == 1:
         return np.repeat(a, 2)[::2]
     return np.ascontiguousarray(a) if a.flags.f_contiguous else np.asfortranarray(a)
 
 
 def wrong_shape(a, first):
-    """One column for an entry point's first operand, whose shape sets the
-    others'; one more last extent for any other."""
-    if first:
+    """One column for an entry point's first operand if it is a matrix, whose
+    shape sets the others'; one more last extent for any other."""
+    if first and a.ndim == 2:
         return a[:, :1].copy()
     return np.zeros(a.shape[:-1] + (a.shape[-1] + 1,))
 
