@@ -162,7 +162,8 @@ bind(struct eadmm *e, const char *fn, PyObject *const *args, Py_ssize_t nargs,
         int pad = lead->d1 == EXT_LC ? 2 : 0;
         if (!PyArray_Check(args[0]) || PyArray_NDIM(a) != 2 || PyArray_DIM(a, 0) < 1
             || PyArray_DIM(a, 1) < 2 + pad) {
-            PyErr_Format(DimensionMismatch, "%s must be a two-dimensional array with at least %d columns",
+            PyErr_Format(DimensionMismatch,
+                         "%s must be a two-dimensional array with at least %d columns",
                          lead->name, 2 + pad);
             return -1;
         }
@@ -537,9 +538,9 @@ phi_ddot(const struct plant *p, double phi, double phi_dot, double u, double *ou
 }
 
 /* rk4_step: `substeps` classical RK4 steps of length h from state under the
-   held input u into next_state, each stage as pendulum.rk4_step wrote it on
-   Python floats. Returns 0, or -1 with SingularConfiguration set and
-   next_state not written. */
+   held input u into next_state, each stage the vector form x + h k with
+   k = pendulum.dynamics, element by element. Returns 0, or -1 with
+   SingularConfiguration set and next_state not written. */
 static int
 stage_plant(const struct eadmm *e, const struct plant *p, double h, Py_ssize_t substeps)
 {
@@ -784,7 +785,8 @@ PyInit__kernel(void)
     if (errors == NULL)
         return NULL;
     DimensionMismatch = PyObject_GetAttrString(errors, "DimensionMismatch");
-    SingularConfiguration = PyObject_GetAttrString(errors, "SingularConfiguration");
+    SingularConfiguration = DimensionMismatch
+        ? PyObject_GetAttrString(errors, "SingularConfiguration") : NULL;
     Py_DECREF(errors);
     if (DimensionMismatch == NULL || SingularConfiguration == NULL)
         return NULL;

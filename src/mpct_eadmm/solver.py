@@ -11,8 +11,9 @@ At these array sizes a numpy call costs more than its arithmetic, so the
 iteration runs in a compiled C kernel (``_kernel.c``, built on first use by
 :mod:`.kernel`). :func:`eadmm_solve` makes one kernel call per solve, on the
 arrays :func:`solve_operands` lists: stages, exit tests, buffer swaps and
-the band solve all run in C. :func:`warmstart_predict` makes one more. The kernel checks every entry point's operands
-with one binder, and is the package's only binding of LAPACK's ``dpbtrs``.
+the band solve all run in C. :func:`warmstart_predict` makes one more. The
+kernel checks every entry point's operands with one binder, and is the
+package's only binding of LAPACK's ``dpbtrs``.
 
 Each stage below also stays a Python function with its signature, making
 one kernel call on the same C stage body (:func:`solve_qp3` two, around

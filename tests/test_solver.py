@@ -494,7 +494,7 @@ def test_warm_shift_bit_identical_to_reference(case):
     """z1, z2, z3, lambda and gamma of warmstart_predict against its numpy
     form, byte for byte, from a solved state: to the case's next state, to
     the same state, and by displacements spread over 16 decades. The cases
-    include n = 1, where numpy's ``@`` makes no BLAS call, and m > n. The
+    include n = 1, where numpy's ``@`` does not call dgemv, and m > n. The
     new state shares no memory with the previous solution."""
     problem, x, x_next, r = match_cases()[case]
     n = problem.n
