@@ -145,7 +145,7 @@ def test_rk4_singular_configuration_raises():
     assert str(got.value) == "dynamics denominator 0.000e+00 at phi=3.141593"
 
 
-def test_rk4_non_finite_values_propagate_like_numpy():
+def test_rk4_non_finite_values_propagate_like_numpy(problem, offline):
     """An overflowing or infinite state gives the numpy form's NaN and
     infinities (Python floats raised OverflowError or ValueError there); a
     closed loop then aborts at its next solve."""
@@ -155,6 +155,9 @@ def test_rk4_non_finite_values_propagate_like_numpy():
             want = reference_rk4_step(np.array(state), 0.0, PENDULUM_TS, 10, PendulumParams())
         assert not np.isfinite(got[:2]).any()
         np.testing.assert_array_equal(got, want)
+    x0 = np.array([0.0, 1e200, 0.0])
+    traj = closed_loop(problem, offline, SimConfig(steps=3), x0, np.zeros(4), warmstart=True)
+    assert traj.aborted and len(traj.inputs) == 1
 
 
 def test_rk4_state_needs_three_entries():
