@@ -516,8 +516,9 @@ struct plant {
     double inertia, mrl, mgl, wheel;
 };
 
-/* pendulum._phi_ddot: the body's angular acceleration into *out. Returns 0,
-   or -1 with SingularConfiguration set where the denominator vanishes. */
+/* The body's angular acceleration into *out, as tests/test_pendulum.py's
+   reference_dynamics forms it. Returns 0, or -1 with SingularConfiguration
+   set where the denominator vanishes. */
 static int
 phi_ddot(const struct plant *p, double phi, double phi_dot, double u, double *out)
 {
@@ -539,7 +540,7 @@ phi_ddot(const struct plant *p, double phi, double phi_dot, double u, double *ou
 
 /* rk4_step: `substeps` classical RK4 steps of length h from state under the
    held input u into next_state, each stage the vector form x + h k with
-   k = pendulum.dynamics, element by element. Returns 0, or -1 with
+   k = (phi_dot, phi_ddot, u), element by element. Returns 0, or -1 with
    SingularConfiguration set and next_state not written. */
 static int
 stage_plant(const struct eadmm *e, const struct plant *p, double h, Py_ssize_t substeps)

@@ -198,7 +198,7 @@ def cmd_compare(args):
         dev = interleaved_max_deviation(
             cfg.problem, offline, x, cfg.reference, iterations=args.iterations
         )
-        max_dev = max(max_dev, dev)
+        max_dev = float(np.max([max_dev, dev]))  # keeps a NaN, unlike max()
         result = eadmm_solve(offline, cfg.problem, x, cfg.reference)
         if result.converged:
             dprob = dense.assemble_dense(

@@ -235,14 +235,3 @@ def kkt_residual(problem, z1, z2, z3, lam, face_tol=1e-9):
     s3 = _stationarity_residual(g3, p.G3)
     return max(eq, zset, s1, s2, s3)
 
-
-def map_to_original(z1, z2, z3, n, m, N):
-    """Recover the original trajectory variables from the split ones."""
-    nm = n + m
-    z1c = z1.reshape(nm, N + 1, order="F")
-    z3c = z3.reshape(nm, N + 1, order="F")
-    x_traj = z1c[:n].T.copy()
-    u_traj = z1c[n:].T.copy()
-    xs, us = z2[:n].copy(), z2[n:].copy()
-    congruence_err = float(np.abs(z3c + z2[:, None] - z1c).max())
-    return x_traj, u_traj, xs, us, congruence_err

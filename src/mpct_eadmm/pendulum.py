@@ -7,14 +7,13 @@ numerical conditioning, and the computed input is unscaled before being
 applied to the plant.
 """
 
-import math
 import time
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import kernel
-from .errors import MissingWarmstartGain, NumericalBreakdown, SingularConfiguration
+from .errors import MissingWarmstartGain, NumericalBreakdown
 from .problem import CostWeights, MpctConfig, SystemModel, build_rho, validate_problem
 from .solver import cold_start, eadmm_solve, warmstart_predict
 
@@ -108,37 +107,18 @@ def _coefficients(p):
     return p.I_yy, mrl, p.M_body * p.g * p.L, p.wheel_radius**2 * (3 * p.m_r + p.M_body)
 
 
-def _phi_ddot(phi, phi_dot, u, coefficients):
-    """Body angular acceleration on Python floats, for :func:`dynamics`.
-
-    The kernel's plant step, behind :func:`rk4_step`, evaluates the same
-    expression in C.
-    """
-    inertia, mrl, mgl, wheel = coefficients
-    cos_phi, sin_phi = math.cos(phi), math.sin(phi)
-    den = inertia + mrl * cos_phi
-    if abs(den) < 1e-12:
-        raise SingularConfiguration(f"dynamics denominator {den:.3e} at phi={phi:.6f}")
-    return (mrl * phi_dot**2 * sin_phi + mgl * sin_phi - (wheel + mrl * cos_phi) * u) / den
-
-
-def dynamics(state, u, params):
-    """Time derivative of (phi, phi_dot, theta_dot) for commanded theta_ddot."""
-    phi, phi_dot, _ = (float(v) for v in state)
-    u = float(u)
-    return np.array([phi_dot, _phi_ddot(phi, phi_dot, u, _coefficients(params)), u])
-
-
 def rk4_step(state, u, Ts, substeps, params):
     """Classical fourth-order Runge-Kutta with zero-order-hold input.
 
     One kernel call runs every substep. Each stage evaluates the same
-    expressions, in the same order, as the vector form x + h k with
-    k = :func:`dynamics`, and calls libm's cos, sin and pow as
-    :func:`dynamics` does through ``math`` and ``**``; a state that
-    overflows them gives NaN or infinite entries, as numpy floats would.
-    ``state`` must have exactly 3 entries and ``u``, a number or an array,
-    exactly 1; anything else raises :class:`DimensionMismatch`.
+    expressions, in the same order, as the vector form x + h k, with k the
+    time derivative of (phi, phi_dot, theta_dot), and calls libm's cos, sin
+    and pow as Python's ``math`` and ``**`` do; a state that overflows
+    them gives NaN or infinite entries, as numpy floats would, and a
+    vanishing denominator of phi's acceleration raises
+    :class:`SingularConfiguration`. ``state`` must have exactly 3 entries
+    and ``u``, a number or an array, exactly 1; anything else raises
+    :class:`DimensionMismatch`.
     """
     out = np.empty(3)
     kernel.load().plant_step(

@@ -17,14 +17,13 @@ package's only binding of LAPACK's ``dpbtrs``.
 
 Each stage below also stays a Python function with its signature, making
 one kernel call on the same C stage body (:func:`solve_qp3` two, around
-:func:`banded_forward_backward`), and :func:`eadmm_step` calls them through
-their module globals. ``compare`` and the tests step through them. :func:`eadmm_solve` runs its iterations
+:func:`banded_forward_backward`). No other module of the package calls
+them; the tests step through them. :func:`eadmm_solve` runs its iterations
 through them instead of the one kernel call only when one of the six stage
 globals has been replaced, as a tracer that times the stages does; the
 iterates are the same either way, but a traced run times this path, not the
 kernel's. That dispatch exists for the tracer alone and goes once the kernel
-times its stages itself. The kernel keeps these
-rules:
+times its stages itself. The kernel keeps these rules:
 
 - Expression order. Every element comes from the same IEEE expression, in
   the same order, as the numpy stage bodies that ``tests/test_solver.py``
@@ -92,9 +91,9 @@ class SolverState:
     lambda_/gamma: duals and equality residual; column 0 is the initial-state
     constraint (last m entries are structural padding and stay zero), columns
     1..N+1 the congruence constraints, column N+2 the terminal equalities.
-    scratch: see :class:`Scratch`; :func:`eadmm_step` expects its ``zsum`` to
-    equal z2 + z3, which holds for a cold start and which
-    :func:`eadmm_solve` sets on entry.
+    scratch: see :class:`Scratch`. Its ``zsum`` must equal z2 + z3 when
+    :func:`solve_qp1` runs; :func:`eadmm_solve` sets it on entry and every
+    iteration keeps it.
     """
 
     z1: np.ndarray
@@ -254,22 +253,6 @@ def linear_terms(problem, r):
     return ts_r, problem.model.AB
 
 
-def eadmm_step(state, offline, rho, x, ts_r, AB):
-    """One extended-ADMM iteration in place; returns the primal residual.
-
-    Expects ``state.scratch.zsum`` to hold z2 + z3 (see :class:`SolverState`).
-    The stages are called through module globals, so replacing one at module
-    level (as a tracer does) takes effect here.
-    """
-    solve_qp1(state, offline, rho, x)
-    solve_qp2(state, offline, rho, ts_r)
-    solve_qp3(state, offline, rho, AB)
-    _, res = compute_residual(state, offline, x)
-    update_duals(state, rho)
-    state.iterations += 1
-    return res
-
-
 # How a solve's iterations ended: the cap, the exit test, or a residual that
 # is not finite. The kernel's solve returns the same codes.
 CAPPED, CONVERGED, BREAKDOWN = 0, 1, 2
@@ -283,17 +266,24 @@ def _stage_functions():
 
 
 def _stage_loop(state, offline, rho, x, ts_r, AB, eps, primal_only, max_iter):
-    """The iterations of :func:`eadmm_solve` as calls of :func:`eadmm_step`.
+    """The iterations of :func:`eadmm_solve` as calls of the stage functions.
 
-    Returns (status, primal residual, dual residual).
+    The stages are called through their module globals, so a tracer that
+    replaces one at module level sees every call. Returns (status, primal
+    residual, dual residual).
     """
     np.add(state.z2[:, None], state.z3, out=state.scratch.zsum)
     res, dual = math.inf, math.nan
     for _ in range(max_iter):
-        # eadmm_step swaps z2 and z3 with their scratch buffers, so these
-        # stay the old iterates until the next step.
+        # solve_qp2 and solve_qp3 swap z2 and z3 with their scratch buffers,
+        # so these stay the old iterates until the next iteration.
         z2_prev, z3_prev = state.z2, state.z3
-        res = eadmm_step(state, offline, rho, x, ts_r, AB)
+        solve_qp1(state, offline, rho, x)
+        solve_qp2(state, offline, rho, ts_r)
+        solve_qp3(state, offline, rho, AB)
+        _, res = compute_residual(state, offline, x)
+        update_duals(state, rho)
+        state.iterations += 1
         if not math.isfinite(res):
             return BREAKDOWN, res, dual
         if res <= eps:

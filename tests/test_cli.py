@@ -145,6 +145,16 @@ def test_compare(config_path, capsys):
     assert report["trials"] == 3
 
 
+def test_compare_reports_a_nan_deviation_as_a_failure(config_path, capsys, monkeypatch):
+    """A NaN deviation in one trial between finite ones is the report's
+    maximum, and the check fails."""
+    deviations = iter([1e-12, float("nan"), 1e-12])
+    monkeypatch.setattr(cli, "interleaved_max_deviation", lambda *args, **kw: next(deviations))
+    code = cli.main(["compare", "--config", config_path, "--trials", "3", "--seed", "1"])
+    assert code == cli.EXIT_NUMERICAL
+    assert np.isnan(json.loads(capsys.readouterr().out)["max_deviation"])
+
+
 def test_compare_rejects_trials_below_one(config_path, capsys):
     """No trial or no iteration is no check, so it cannot pass one."""
     for flag, value in (("--trials", "0"), ("--trials", "-3"), ("--iterations", "0")):

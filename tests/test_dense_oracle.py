@@ -1,9 +1,13 @@
 """Tests of the dense reference implementation itself."""
 
+from dataclasses import replace
+
 import numpy as np
+import pytest
 
 from mpct_eadmm import dense
 from mpct_eadmm.compare import interleaved_max_deviation, sample_states
+from mpct_eadmm.errors import NumericalBreakdown
 from mpct_eadmm.problem import (
     CostWeights,
     MpctConfig,
@@ -11,7 +15,6 @@ from mpct_eadmm.problem import (
     build_rho,
     validate_problem,
 )
-from mpct_eadmm.solver import eadmm_solve
 
 
 def tiny_problem(N=2):
@@ -112,6 +115,34 @@ def test_sparse_matches_dense_single_instance(problem, offline):
     assert dev <= 1e-10
 
 
+def test_non_finite_sparse_iterate_breaks_down(problem, offline):
+    """A reference the config accepts whose weighted form overflows makes
+    the sparse residual NaN: the harness raises, as a solve does, instead of
+    reading the NaN iterates as zero deviation."""
+    with np.errstate(over="ignore"):
+        with pytest.raises(NumericalBreakdown, match="at iteration 1$"):
+            interleaved_max_deviation(problem, offline, np.zeros(3), np.full(4, 1e308))
+
+
+def test_nan_deviation_is_kept(problem, offline, monkeypatch):
+    """A NaN in one dense iterate at the third of six iterations, with
+    finite iterates before and after it, makes the worst deviation NaN."""
+    real, clean = dense.dense_eadmm_step, []
+
+    def poisoned_once(dprob, it):
+        out = real(dprob, clean[-1] if clean else it)
+        clean.append(out)
+        if len(clean) == 3:
+            out = replace(out, z2=np.where(np.arange(out.z2.size) == 1, np.nan, out.z2))
+        return out
+
+    x, r = np.array([0.0, 0.0, 1.0]), np.zeros(4)
+    assert np.isfinite(interleaved_max_deviation(problem, offline, x, r, iterations=6))
+    monkeypatch.setattr(dense, "dense_eadmm_step", poisoned_once)
+    assert np.isnan(interleaved_max_deviation(problem, offline, x, r, iterations=6))
+    assert len(clean) == 6
+
+
 def _solve_equality_qp(p, dp):
     """Ground-truth KKT solve of the full (unconstrained-box) extended problem."""
     nz = dp.A1.shape[1]
@@ -147,24 +178,3 @@ def test_kkt_residual_flags_infeasibility():
     z1 = z1 + 1.0  # breaks the congruence constraints
     assert dense.kkt_residual(dp, z1, z2, z3, lam) > 1e-4
 
-
-def test_map_to_original(problem, offline):
-    n, m, N = problem.n, problem.m, problem.N
-    rng = np.random.default_rng(8)
-    z2 = rng.standard_normal(n + m)
-    z3 = rng.standard_normal((n + m) * (N + 1))
-    z1 = (z3.reshape(n + m, N + 1, order="F") + z2[:, None]).flatten(order="F")
-    *_, err = dense.map_to_original(z1, z2, z3, n, m, N)
-    assert err == 0.0
-    result = eadmm_solve(offline, problem, np.array([0.0, 0.0, 1.0]), np.zeros(4))
-    x_traj, u_traj, xs, us, err = dense.map_to_original(
-        result.z1.flatten(order="F"), result.z2, result.z3.flatten(order="F"), n, m, N
-    )
-    eps = problem.config.epsilon
-    assert err <= eps
-    A, B = problem.model.A, problem.model.B
-    # triangle inequality over the congruence residuals of consecutive stages
-    bound = (1.0 + np.abs(np.hstack([A, B])).sum(axis=1).max()) * eps + 1e-8
-    for i in range(N):
-        step_err = np.abs(x_traj[i + 1] - (A @ x_traj[i] + B @ u_traj[i])).max()
-        assert step_err <= bound

@@ -17,7 +17,6 @@ from mpct_eadmm.pendulum import (
     PendulumParams,
     SimConfig,
     closed_loop,
-    dynamics,
     pendulum_problem,
     rk4_step,
     scale_state,
@@ -28,20 +27,24 @@ from mpct_eadmm.solver import cold_start, eadmm_solve
 
 
 def test_equilibrium_derivative_zero():
-    d = dynamics(np.zeros(3), 0.0, PendulumParams())
-    assert not d.any()
+    assert not reference_dynamics(np.zeros(3), 0.0, PendulumParams()).any()
+    x = rk4_step(np.zeros(3), 0.0, PENDULUM_TS, 1, PendulumParams())
+    assert x.tobytes() == np.zeros(3).tobytes()
 
 
 def test_upright_instability():
-    d = dynamics(np.array([0.01, 0.0, 0.0]), 0.0, PendulumParams())
-    assert d[1] > 0.0
+    """Tilted and at rest, unforced, the body falls further."""
+    x0 = np.array([0.01, 0.0, 0.0])
+    assert reference_dynamics(x0, 0.0, PendulumParams())[1] > 0.0
+    x = rk4_step(x0, 0.0, PENDULUM_TS, 10, PendulumParams())
+    assert x[0] > x0[0] and x[1] > 0.0 and x[2] == 0.0
 
 
 def test_singular_configuration():
     p = PendulumParams()
     singular = PendulumParams(I_yy=p.M_body * p.wheel_radius * p.L)
     with pytest.raises(SingularConfiguration):
-        dynamics(np.array([np.pi, 0.0, 0.0]), 0.0, singular)
+        reference_dynamics(np.array([np.pi, 0.0, 0.0]), 0.0, singular)
 
 
 def test_params_validation():
@@ -74,7 +77,7 @@ def test_rk4_fourth_order():
 
 
 # The numpy form of the plant that rk4_step replaced, kept as the reference
-# its Python-float form must reproduce byte for byte.
+# the kernel's plant step must reproduce byte for byte.
 def reference_dynamics(state, u, p):
     phi, phi_dot, _ = state
     den = p.I_yy + p.M_body * p.wheel_radius * p.L * np.cos(phi)
@@ -117,8 +120,6 @@ def test_rk4_bytes_match_numpy_reference():
         got = rk4_step(state, u, Ts, substeps, params)
         want = reference_rk4_step(state, u, Ts, substeps, params)
         assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), k
-        d = dynamics(state, float(np.ravel(u)[0]), params)
-        assert d.tobytes() == reference_dynamics(state, float(np.ravel(u)[0]), params).tobytes(), k
 
 
 def test_rk4_squares_through_libm_pow():

@@ -19,7 +19,6 @@ from mpct_eadmm.solver import (
     compute_residual,
     dual_residual,
     eadmm_solve,
-    eadmm_step,
     linear_terms,
     solve_qp1,
     solve_qp2,
@@ -392,14 +391,15 @@ ITERATES = ("z1", "z2", "z3", "lam", "gamma")
 
 
 def assert_steps_match_reference(problem, offline, state, x, r, iterations=200):
-    """Step ``state`` and a copy through the reference; compare every iteration."""
+    """Step ``state`` through eadmm_solve, one iteration per call, and a copy
+    through the reference; compare every iteration."""
+    one_step = with_config(problem, max_iter=1)
     ts_r, AB = linear_terms(problem, r)
-    state.scratch.zsum[:] = state.z2[:, None] + state.z3  # as eadmm_solve does on entry
-    ref = SimpleNamespace(**{name: getattr(state, name).copy() for name in ITERATES})
+    ref = copied(state)
     for k in range(iterations):
         prev, ref_prev = (state.z2, state.z3), (ref.z2, ref.z3)
-        res = eadmm_step(state, offline, problem.rho, x, ts_r, AB)
-        assert res == reference_step(ref, offline, problem.rho, x, ts_r, AB), k
+        result = eadmm_solve(offline, one_step, x, r, initial=state)
+        assert result.residual_inf == reference_step(ref, offline, problem.rho, x, ts_r, AB), k
         for name in ITERATES:
             got, want = getattr(state, name), getattr(ref, name)
             assert got.shape == want.shape and got.tobytes() == want.tobytes(), (name, k)
@@ -731,7 +731,7 @@ STAGES = (
 )
 
 
-def test_eadmm_step_calls_each_stage_once_through_module_globals(problem, offline, monkeypatch):
+def test_traced_solve_calls_each_stage_once_through_module_globals(problem, offline, monkeypatch):
     """A tracer that replaces a stage at module level sees every call."""
     counts = dict.fromkeys(STAGES, 0)
     for name in STAGES:
@@ -769,20 +769,21 @@ def test_solve_result_unchanged_by_later_solves(problem, offline):
 def test_non_finite_entries_propagate_like_numpy(problem, offline):
     """A NaN or an infinity in z2, z3 or lambda ends in the same entries, with
     the same values, as in the numpy reference step (clip and abs-max
-    included), and the residual is not finite."""
+    included), and the solve breaks down at its first iteration."""
     rng = np.random.default_rng(43)
     x, r = np.array([0.1, -0.2, 1.0]), np.zeros(problem.n + problem.m)
+    one_step = with_config(problem, max_iter=1)
     ts_r, AB = linear_terms(problem, r)
     for name, at in (("z2", (1,)), ("z3", (1, 5)), ("lam", (2, 4))):
         for value in (np.nan, np.inf, -np.inf):
             state = random_state(rng, problem)
             getattr(state, name)[at] = value
-            state.scratch.zsum[:] = state.z2[:, None] + state.z3
-            ref = SimpleNamespace(**{key: getattr(state, key).copy() for key in ITERATES})
-            res = eadmm_step(state, offline, problem.rho, x, ts_r, AB)
+            ref = copied(state)
+            with pytest.raises(NumericalBreakdown, match="at iteration 1$"):
+                eadmm_solve(offline, one_step, x, r, initial=state)
             with np.errstate(invalid="ignore", over="ignore"):
                 want = reference_step(ref, offline, problem.rho, x, ts_r, AB)
-            assert not np.isfinite(res) and not np.isfinite(want), (name, value)
+            assert not np.isfinite(want), (name, value)
             for key in ITERATES:
                 np.testing.assert_array_equal(getattr(state, key), getattr(ref, key), err_msg=key)
     # A NaN in the first term of the dual residual's max() and none in the
@@ -870,7 +871,7 @@ KERNEL_OPERANDS = {
 @functools.cache
 def kernel_calls():
     """Per entry point, the names and copies of the arguments the package
-    passes it: the stages as one eadmm_step and one dual_residual call
+    passes it: the stages as one call of each stage function calls
     them, solve as solve_operands lists them, and warm_shift and plant_step
     as warmstart_predict and rk4_step call them."""
     problem = pendulum_problem(N=12)
@@ -910,7 +911,11 @@ def kernel_calls():
     solver_load = kernel.load
     kernel.load = Recorder
     try:
-        eadmm_step(state, offline, rho, x, ts_r, AB)
+        solve_qp1(state, offline, rho, x)
+        solve_qp2(state, offline, rho, ts_r)
+        solve_qp3(state, offline, rho, AB)
+        compute_residual(state, offline, x)
+        update_duals(state, rho)
         dual_residual(state.scratch.z2, state.scratch.z3, state, rho)
         x_next, gain = np.array([0.12, -0.25, 0.97]), offline.warmstart
         warm = warmstart_predict(state, gain, x, x_next)

@@ -67,6 +67,52 @@ def test_sparse_path_and_oracle_are_separate():
     assert not package_imports("dense") & {"offline", "solver", "compare"}
 
 
+STAGE_FUNCTIONS = {
+    "solve_qp1",
+    "solve_qp2",
+    "solve_qp3",
+    "banded_forward_backward",
+    "compute_residual",
+    "dual_residual",
+    "update_duals",
+}
+
+
+def solver_names(tree):
+    """What a module's imports take from the solver: names, or ``solver``
+    itself where the module is imported whole."""
+    taken = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            module = ("." * node.level) + (node.module or "")
+            for alias in node.names:
+                if module in (".solver", "mpct_eadmm.solver"):
+                    taken.add(alias.name)
+                elif module in (".", "mpct_eadmm") and alias.name == "solver":
+                    taken.add("solver")
+        elif isinstance(node, ast.Import):
+            taken.update("solver" for alias in node.names if alias.name == "mpct_eadmm.solver")
+    return taken
+
+
+def test_only_the_solver_runs_the_iteration():
+    """One iteration in the package: only solver.py calls the stage
+    functions, and compare, cli and pendulum take only the solve and the
+    two ways to start one from the solver."""
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.stem == "solver":
+            continue
+        calls = {
+            node.func.id if isinstance(node.func, ast.Name) else node.func.attr
+            for node in ast.walk(ast.parse(path.read_text()))
+            if isinstance(node, ast.Call) and isinstance(node.func, (ast.Name, ast.Attribute))
+        }
+        assert not calls & STAGE_FUNCTIONS, path.name
+    for module in ("compare", "cli", "pendulum"):
+        taken = solver_names(ast.parse((PACKAGE / f"{module}.py").read_text()))
+        assert taken <= {"eadmm_solve", "cold_start", "warmstart_predict"}, module
+
+
 def test_online_solve_forms_no_horizon_sized_matrix():
     """A cold solve at N = 100 allocates a few times the factor's band.
 
