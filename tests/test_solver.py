@@ -871,8 +871,8 @@ KERNEL_OPERANDS = {
 @functools.cache
 def kernel_calls():
     """Per entry point, the names and copies of the arguments the package
-    passes it: the stages as one call of each stage function calls
-    them, solve as solve_operands lists them, and warm_shift and plant_step
+    passes it: the stages as their Python functions call them, one call
+    each, solve as solve_operands lists them, and warm_shift and plant_step
     as warmstart_predict and rk4_step call them."""
     problem = pendulum_problem(N=12)
     offline = build_offline(problem)
