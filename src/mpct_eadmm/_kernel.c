@@ -24,7 +24,8 @@
  * binding of dpbtrs (solver.banded_forward_backward); solve, which runs a
  * whole solve's loop of stages, exit tests and buffer swaps in one call;
  * warm_shift, the body of solver.warmstart_predict; and plant_step, the
- * body of pendulum.rk4_step.
+ * body of pendulum.rk4_step. solve also forms the reference weighted by the
+ * offset cost, diag(T, S) r, before its first iteration.
  *
  * Every entry point binds its arguments through bind(), which reads the
  * operand table: each operand's name, shape and slot in struct eadmm are
@@ -66,12 +67,13 @@ static PyObject *DimensionMismatch, *SingularConfiguration;
    every penalty in the duals' layout: rho0 at [i, 0], rho_hat at [i, j + 1]
    and rho_s at [i, N + 2]. The warm-start shift reads the previous solution
    prev_*, the two measured states and the gain's three blocks; the plant
-   step reads the plant's state and input and writes next_state. */
+   step reads the plant's state and input and writes next_state. solve forms
+   ts_r = diag(T, S) r from the reference r and the offset weights T and S. */
 struct eadmm {
     npy_intp n, nm, cols;
     double *z1, *z2, *z3, *lam, *gamma, *z2_spare, *z3_spare;
     double *zsum, *q2, *q3, *work, *prod, *rhs;
-    double *x, *ts_r, *AB, *columns, *H1_inv, *z1_lb, *z1_ub, *M2, *H3_inv, *band;
+    double *x, *r, *T, *S, *ts_r, *AB, *columns, *H1_inv, *z1_lb, *z1_ub, *M2, *H3_inv, *band;
     double *prev_z1, *prev_z2, *prev_z3, *prev_lam, *x_prev, *x_next;
     double *P_z2, *P_z3_head, *P_lambda_head;
     double *state, *u, *next_state;
@@ -81,13 +83,15 @@ struct eadmm {
 enum { PLANT_STATES = 3, PLANT_INPUTS = 1 };
 
 /* The extents an operand's shape is stated in: n, nm, cols, cols + 2,
-   N = cols - 1, N n, 2n and the plant's fixed sizes; VEC as the second
-   extent marks a vector. */
-enum { VEC, EXT_N, EXT_NM, EXT_COLS, EXT_LC, EXT_H, EXT_NH, EXT_2N, EXT_PX, EXT_PU, EXTENTS };
+   N = cols - 1, N n, 2n, the plant's fixed sizes and m = nm - n; VEC as the
+   second extent marks a vector. */
+enum {
+    VEC, EXT_N, EXT_NM, EXT_COLS, EXT_LC, EXT_H, EXT_NH, EXT_2N, EXT_PX, EXT_PU, EXT_M, EXTENTS,
+};
 
 enum {
     Z1, Z2, Z3, LAM, GAMMA, Z2_SPARE, Z3_SPARE, ZSUM, Q2, Q3, WORK, PROD, RHS,
-    X, TS_R, AB, COLUMNS, H1_INV, Z1_LB, Z1_UB, M2, H3_INV, BAND,
+    X, REF, COST_T, COST_S, TS_R, AB, COLUMNS, H1_INV, Z1_LB, Z1_UB, M2, H3_INV, BAND,
     PREV_Z1, PREV_Z2, PREV_Z3, PREV_LAM, X_PREV, X_NEXT, P_Z2, P_Z3_HEAD, P_LAMBDA_HEAD,
     STATE, U, NEXT_STATE,
 };
@@ -112,6 +116,9 @@ static const struct operand {
     OPERAND(PROD, prod, EXT_NM, EXT_H),
     OPERAND(RHS, rhs, EXT_NH, VEC),
     OPERAND(X, x, EXT_N, VEC),
+    OPERAND(REF, r, EXT_NM, VEC),
+    OPERAND(COST_T, T, EXT_N, EXT_N),
+    OPERAND(COST_S, S, EXT_M, EXT_M),
     OPERAND(TS_R, ts_r, EXT_NM, VEC),
     OPERAND(AB, AB, EXT_N, EXT_NM),
     OPERAND(COLUMNS, columns, EXT_NM, EXT_LC),
@@ -189,6 +196,7 @@ bind(struct eadmm *e, const char *fn, PyObject *const *args, Py_ssize_t nargs,
     }
     npy_intp ext[EXTENTS] = {
         -1, n, nm, cols, cols + 2, cols - 1, (cols - 1) * n, 2 * n, PLANT_STATES, PLANT_INPUTS,
+        nm - n,
     };
     for (int k = 1; k < EXTENTS; k++)
         if (ext[k] > INT_MAX) {
@@ -481,6 +489,28 @@ gain_product(const double *G, npy_intp rows, npy_intp n, const double *dx, doubl
     dgemv(&t, &bn, &brows, &alpha, (double *)G, &bn, (double *)dx, &one, &beta, y, &one);
 }
 
+/* y = W v for a C-ordered k x k offset weight W, as np.dot(W, v) computes
+   it: for k = 1 numpy's scalar path, the one product W[0] v[0] (no 0 + as
+   dgemv's beta = 0 adds, which would turn -0.0 into 0.0); otherwise dgemv 'T'
+   on W's column-major view, as gain_product. */
+static void
+weight_product(const double *W, npy_intp k, const double *v, double *y)
+{
+    if (k == 1)
+        y[0] = W[0] * v[0];
+    else
+        gain_product(W, k, k, v, y);
+}
+
+/* The prologue of solve: ts_r = diag(T, S) r, as the two np.dot calls
+   ts_r[:n] = T r[:n] and ts_r[n:] = S r[n:] form it. */
+static void
+stage_weighted_reference(const struct eadmm *e)
+{
+    weight_product(e->T, e->n, e->r, e->ts_r);
+    weight_product(e->S, e->nm - e->n, e->r + e->n, e->ts_r + e->n);
+}
+
 /* warmstart_predict: z1, z2, z3 and lam become copies of prev_*; with
    dx = x_next - x_prev, z2 -= P_z2 dx, z3[:n, 0] -= P_z3_head dx,
    lam[:n, 0] -= P_lambda_head[:n] dx and lam[:n, 1] -= P_lambda_head[n:] dx.
@@ -654,11 +684,12 @@ band_solve(PyObject *Py_UNUSED(self), PyObject *const *args, Py_ssize_t nargs)
    the primal residual was not finite. */
 enum { CAPPED = 0, CONVERGED = 1, BREAKDOWN = 2 };
 
-/* The iterations of one solve, as eadmm_solve's stage loop runs them: zsum
-   set to z2 + z3, then per iteration the five stages, the primal residual's
-   finiteness and exit test, and the dual residual on iterations whose
-   primal residual is within epsilon.
-   solve(<its 23 arrays, in the order below>, epsilon, primal_only, max_iter)
+/* The iterations of one solve, as eadmm_solve's stage loop runs them: ts_r
+   set to diag(T, S) r and zsum to z2 + z3, then per iteration the five
+   stages, the primal residual's finiteness and exit test, and the dual
+   residual on iterations whose primal residual is within epsilon. With
+   max_iter = 0 only ts_r and zsum are written.
+   solve(<its 26 arrays, in the order below>, epsilon, primal_only, max_iter)
    Returns (status, iterations, primal residual, dual residual), the last
    NaN when no iteration passed the primal test. The current z2 and z3 and
    their spares trade buffers every iteration, so after an odd number of
@@ -667,8 +698,8 @@ static PyObject *
 solve(PyObject *Py_UNUSED(self), PyObject *const *args, Py_ssize_t nargs)
 {
     BIND(3, Z1 | OUT, Z2 | OUT, Z3 | OUT, LAM | OUT, GAMMA | OUT, ZSUM | OUT, Z2_SPARE | OUT,
-         Z3_SPARE | OUT, Q2 | OUT, Q3 | OUT, WORK | OUT, PROD | OUT, RHS | OUT,
-         X, TS_R, AB, COLUMNS, H1_INV, Z1_LB, Z1_UB, M2, H3_INV, BAND);
+         Z3_SPARE | OUT, Q2 | OUT, Q3 | OUT, WORK | OUT, PROD | OUT, RHS | OUT, TS_R | OUT,
+         X, REF, COST_T, COST_S, AB, COLUMNS, H1_INV, Z1_LB, Z1_UB, M2, H3_INV, BAND);
     PyObject *const *scalars = args + sizeof uses;
     double eps = PyFloat_AsDouble(scalars[0]);
     int primal_only = PyObject_IsTrue(scalars[1]);
@@ -676,6 +707,7 @@ solve(PyObject *Py_UNUSED(self), PyObject *const *args, Py_ssize_t nargs)
     if (PyErr_Occurred())
         return NULL;
 
+    stage_weighted_reference(&e);
     npy_intp nm = e.nm, cols = e.cols;
     for (npy_intp i = 0; i < nm; i++)
         for (npy_intp j = 0; j < cols; j++)

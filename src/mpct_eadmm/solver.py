@@ -3,17 +3,20 @@
 All per-iteration work is matrix-free apart from the small dense gain of the
 artificial-reference subproblem and one LAPACK band solve; no horizon-sized
 matrix is ever formed. Horizon-indexed iterates live in
-column-block layout: one (n+m) column per prediction step. Each solve
-allocates its scratch buffers once; the iterations write into them and into
-the iterates in place.
+column-block layout: one (n+m) column per prediction step. The iterations
+write into the iterates in place and into a :class:`Scratch` of work
+buffers. :func:`cold_start` is the only place that allocates one; the states
+:func:`warmstart_predict` makes from a solve's result share that solve's, so
+a warm chain of solves allocates its work space once.
 
 At these array sizes a numpy call costs more than its arithmetic, so the
 iteration runs in a compiled C kernel (``_kernel.c``, built on first use by
 :mod:`.kernel`). :func:`eadmm_solve` makes one kernel call per solve, on the
-arrays :func:`solve_operands` lists: stages, exit tests, buffer swaps and
-the band solve all run in C. :func:`warmstart_predict` makes one more. The
-kernel checks every entry point's operands with one binder, and is the
-package's only binding of LAPACK's ``dpbtrs``.
+arrays :func:`solve_operands` lists: the reference weighted by the offset
+cost, diag(T, S) r, then stages, exit tests, buffer swaps and the band solve
+all run in C. :func:`warmstart_predict` makes one more. The kernel checks
+every entry point's operands with one binder, and is the package's only
+binding of LAPACK's ``dpbtrs``.
 
 Each stage below also stays a Python function with its signature, making
 one kernel call on the same C stage body (:func:`solve_qp3` two, around
@@ -31,7 +34,8 @@ times its stages itself. The kernel keeps these rules:
 - Summation order. A row sum is ``np.add.reduce``'s: 0 plus numpy's
   pairwise sum (eight accumulators up to 128 terms, halves above). The
   matrix products are the BLAS calls ``np.dot`` makes, through scipy's
-  BLAS, and the band solve is the LAPACK routine scipy's f2py ``dpbtrs``
+  BLAS (for diag(T, S) r with a 1 x 1 block, numpy's one scalar product),
+  and the band solve is the LAPACK routine scipy's f2py ``dpbtrs``
   calls. Abs-max and clip propagate NaN as numpy's do.
 - Flags. It is compiled with ``-O2 -ffp-contract=off`` and never with
   value-changing options such as ``-ffast-math``.
@@ -52,7 +56,7 @@ from .errors import DimensionMismatch, NumericalBreakdown
 
 
 class Scratch:
-    """Buffers that one solve's iterations write into.
+    """Buffers that a solve's iterations write into.
 
     ``zsum`` is z2 + z3 broadcast over the columns, as the last
     :func:`compute_residual` left it; the next :func:`solve_qp1` reads it.
@@ -62,12 +66,19 @@ class Scratch:
     work space reused across the stages: ``q2`` the linear term of the
     reference subproblem, ``q3`` and ``work`` (shape of z3) the deviation
     subproblem's, ``prod`` the (n+m) x N products with [A B] and its
-    transpose, and ``rhs`` the band solve's right-hand side in ``dpbtrs``'s
+    transpose, ``rhs`` the band solve's right-hand side in ``dpbtrs``'s
     layout (block j in entries j*n to (j+1)*n - 1), which the solve
-    overwrites with its solution.
+    overwrites with its solution, and ``ts_r`` the solve's diag(T, S) r.
+
+    A scratch holds no state between solves: :func:`eadmm_solve` writes
+    ``ts_r`` and ``zsum`` on entry, and the iterations write every other
+    buffer before they read it. A solve only trades its own state's z2 and
+    z3 with the spare ones here, so the spares are never any state's
+    current iterates, and states (and results) that share a scratch keep
+    their arrays intact.
     """
 
-    __slots__ = ("zsum", "z2", "z3", "q2", "q3", "work", "prod", "rhs")
+    __slots__ = ("zsum", "z2", "z3", "q2", "q3", "work", "prod", "rhs", "ts_r")
 
     def __init__(self, n, m, N):
         nm = n + m
@@ -79,6 +90,7 @@ class Scratch:
         self.work = np.empty((nm, N + 1))
         self.prod = np.empty((nm, N))
         self.rhs = np.empty(N * n)
+        self.ts_r = np.empty(nm)
 
 
 @dataclass
@@ -91,9 +103,9 @@ class SolverState:
     lambda_/gamma: duals and equality residual; column 0 is the initial-state
     constraint (last m entries are structural padding and stay zero), columns
     1..N+1 the congruence constraints, column N+2 the terminal equalities.
-    scratch: see :class:`Scratch`. Its ``zsum`` must equal z2 + z3 when
-    :func:`solve_qp1` runs; :func:`eadmm_solve` sets it on entry and every
-    iteration keeps it.
+    scratch: see :class:`Scratch`; states of one warm chain share it. Its
+    ``zsum`` must equal z2 + z3 when :func:`solve_qp1` runs;
+    :func:`eadmm_solve` sets it on entry and every iteration keeps it.
     """
 
     z1: np.ndarray
@@ -105,7 +117,7 @@ class SolverState:
     iterations: int = 0
 
 
-@dataclass
+@dataclass(slots=True)
 class SolveResult:
     """Converged (or best-effort) solution of one MPCT problem instance.
 
@@ -118,6 +130,9 @@ class SolveResult:
     passed the primal test, NaN when none did. The arrays are the solve's
     state's own: a later solve that continues from the same state object as
     ``initial`` writes over them, one from :func:`warmstart_predict` does not.
+    ``scratch`` is the state's :class:`Scratch`, which
+    :func:`warmstart_predict` hands on to the next state; a result built by
+    hand has none, and a state warm-started from it cannot be solved.
     """
 
     z1: np.ndarray
@@ -132,10 +147,11 @@ class SolveResult:
     metadata: dict = field(default_factory=dict)
     dual_residual: float = float("nan")
     certified: bool = False
+    scratch: Scratch = field(default=None, repr=False, compare=False)
 
 
 def cold_start(n, m, N):
-    """All-zero solver state for the given dimensions."""
+    """All-zero solver state for the given dimensions, with a new :class:`Scratch`."""
     nm = n + m
     return SolverState(
         z1=np.zeros((nm, N + 1)),
@@ -244,15 +260,6 @@ def update_duals(state, rho):
     return state.lam
 
 
-def linear_terms(problem, r):
-    """Per-solve constants of the iteration: diag(T, S) r and the model's [A B]."""
-    n = problem.n
-    ts_r = np.empty(n + problem.m)
-    np.dot(problem.costs.T, r[:n], out=ts_r[:n])
-    np.dot(problem.costs.S, r[n:], out=ts_r[n:])
-    return ts_r, problem.model.AB
-
-
 # How a solve's iterations ended: the cap, the exit test, or a residual that
 # is not finite. The kernel's solve returns the same codes.
 CAPPED, CONVERGED, BREAKDOWN = 0, 1, 2
@@ -265,14 +272,16 @@ def _stage_functions():
     )
 
 
-def _stage_loop(state, offline, rho, x, ts_r, AB, eps, primal_only, max_iter):
+def _stage_loop(state, offline, problem, x, r, eps, primal_only, max_iter):
     """The iterations of :func:`eadmm_solve` as calls of the stage functions.
 
     The stages are called through their module globals, so a tracer that
-    replaces one at module level sees every call. Returns (status, primal
-    residual, dual residual).
+    replaces one at module level sees every call. A kernel ``solve`` of no
+    iteration first forms diag(T, S) r and zsum, as the kernel path does.
+    Returns (status, primal residual, dual residual).
     """
-    np.add(state.z2[:, None], state.z3, out=state.scratch.zsum)
+    _kernel_loop(state, offline, problem, x, r, eps, primal_only, 0)
+    rho, ts_r, AB = problem.rho, state.scratch.ts_r, problem.model.AB
     res, dual = math.inf, math.nan
     for _ in range(max_iter):
         # solve_qp2 and solve_qp3 swap z2 and z3 with their scratch buffers,
@@ -293,19 +302,20 @@ def _stage_loop(state, offline, rho, x, ts_r, AB, eps, primal_only, max_iter):
     return CAPPED, res, dual
 
 
-def solve_operands(state, offline, rho, x, ts_r, AB):
+def solve_operands(state, offline, problem, x, r):
     """The arrays of the kernel's ``solve``, in its argument order."""
-    sc = state.scratch
+    sc, costs = state.scratch, problem.costs
     return (
         state.z1, state.z2, state.z3, state.lam, state.gamma, sc.zsum, sc.z2, sc.z3, sc.q2,
-        sc.q3, sc.work, sc.prod, sc.rhs, x, ts_r, AB, rho.columns, offline.H1_inv,
-        offline.z1_lb, offline.z1_ub, offline.M2, offline.H3_inv, offline.band,
+        sc.q3, sc.work, sc.prod, sc.rhs, sc.ts_r, x, r, costs.T, costs.S, problem.model.AB,
+        problem.rho.columns, offline.H1_inv, offline.z1_lb, offline.z1_ub, offline.M2,
+        offline.H3_inv, offline.band,
     )
 
 
-def _kernel_loop(state, offline, rho, x, ts_r, AB, eps, primal_only, max_iter):
+def _kernel_loop(state, offline, problem, x, r, eps, primal_only, max_iter):
     """The iterations of :func:`_stage_loop` in one kernel call, bit for bit."""
-    operands = solve_operands(state, offline, rho, x, ts_r, AB)
+    operands = solve_operands(state, offline, problem, x, r)
     status, iterations, res, dual = kernel.load().solve(*operands, eps, primal_only, max_iter)
     sc = state.scratch
     state.iterations += iterations
@@ -328,7 +338,9 @@ def eadmm_solve(offline, problem, x, r, initial=None):
 
     The iterations run in one kernel call, or through the stage functions
     when one of them was replaced (see the module docstring); both write
-    into the state's scratch buffers and allocate no array storage. Returns
+    into the state's scratch buffers and allocate no array storage. The
+    kernel forms diag(T, S) r in ``scratch.ts_r`` first; a reference whose
+    weighted form is not finite breaks down at the first iteration. Returns
     a :class:`SolveResult`; non-convergence is reported through the
     ``converged`` flag, not an exception. Offline data, an initial state or
     vectors whose dimensions do not match the problem raise
@@ -355,11 +367,12 @@ def eadmm_solve(offline, problem, x, r, initial=None):
     shapes = [a.shape for a in (state.z1, state.z2, state.z3, state.lam, state.gamma)]
     if shapes != [(nm, N + 1), (nm,), (nm, N + 1), (nm, N + 3), (nm, N + 3)]:
         raise DimensionMismatch(f"initial state shapes {shapes} do not fit {(n, m, N)}")
-    ts_r, AB = linear_terms(problem, r)
+    if state.scratch is None:
+        raise DimensionMismatch("initial state has no scratch buffers")
     loop = _kernel_loop if _stage_functions() == KERNEL_STAGES else _stage_loop
     primal_only = config.exit_test == "primal"
     status, res, dual = loop(
-        state, offline, problem.rho, x, ts_r, AB, config.epsilon, primal_only, config.max_iter
+        state, offline, problem, x, r, config.epsilon, primal_only, config.max_iter
     )
     if status == BREAKDOWN:
         raise NumericalBreakdown(f"non-finite residual at iteration {state.iterations}")
@@ -377,6 +390,7 @@ def eadmm_solve(offline, problem, x, r, initial=None):
         metadata={"rho_exceeds_bound": offline.rho_exceeds_bound},
         dual_residual=dual,
         certified=converged and dual <= config.epsilon,
+        scratch=state.scratch,
     )
 
 
@@ -392,10 +406,13 @@ def warmstart_predict(prev, gain, x_prev, x_next):
     variables and the first two dual state blocks are updated; the trajectory
     block is left untouched since the first iteration overwrites it.
 
-    Returns a new :class:`SolverState` whose arrays share no memory with
-    ``prev``. One kernel call fills them: it copies prev's z1, z2, z3 and
-    lambda, subtracts the gain's four products with x_next - x_prev, each
-    the BLAS call numpy's ``@`` makes, and zeroes gamma. The previous
+    Returns a new :class:`SolverState` whose iterates share no memory with
+    ``prev``, and which shares ``prev.scratch``, the work space of the solve
+    that gave ``prev``: no :class:`Scratch` is allocated along a warm chain,
+    and solving the new state leaves ``prev``'s arrays intact. One kernel
+    call fills the iterates: it copies prev's z1, z2, z3 and lambda,
+    subtracts the gain's four products with x_next - x_prev, each the BLAS
+    call numpy's ``@`` makes, and zeroes gamma. The previous
     solution's arrays and the gain's blocks must be C-contiguous float64
     arrays whose shapes fit each other, and the states must have n entries;
     anything else raises :class:`DimensionMismatch`.
@@ -408,7 +425,4 @@ def warmstart_predict(prev, gain, x_prev, x_next):
         prev.z1, prev.z2, prev.z3, prev.lam, gain.P_z3_head, gain.P_z2, gain.P_lambda_head,
         x_prev, x_next, z1, z2, z3, lam, gamma,
     )
-    n, (nm, cols) = x_prev.size, z1.shape
-    return SolverState(
-        z1=z1, z2=z2, z3=z3, lam=lam, gamma=gamma, scratch=Scratch(n, nm - n, cols - 1)
-    )
+    return SolverState(z1=z1, z2=z2, z3=z3, lam=lam, gamma=gamma, scratch=prev.scratch)

@@ -2,6 +2,7 @@
 
 import csv
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -256,6 +257,19 @@ def test_non_finite_state_or_reference_exit_code(tmp_path, capsys):
         for command in ("solve", "simulate", "compare"):
             assert cli.main([command, "--config", path]) == 1, (key, command)
             assert f"config error: {key}:" in capsys.readouterr().err, (key, command)
+
+
+def test_overflowing_weighted_reference_exit_code(tmp_path, capsys):
+    """r = (1e308,) x 4 is finite, but diag(T, S) r is not: a config error
+    naming the reference, exit 1, and no numpy RuntimeWarning printed."""
+    path = write_config(tmp_path, lambda d: d.update(reference=[1e308] * 4))
+    for command in ("solve", "simulate", "compare", "precompute"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert cli.main([command, "--config", path]) == 1, command
+        captured = capsys.readouterr()
+        assert "config error: reference: " in captured.err, command
+        assert "RuntimeWarning" not in captured.err + captured.out, command
 
 
 def test_output_must_be_a_file_name(tmp_path, capsys):

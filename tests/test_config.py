@@ -97,6 +97,20 @@ def test_x0_and_reference_must_be_finite():
             assert exc.value.field == key
 
 
+def test_overflowing_weighted_reference_rejected():
+    """A finite reference whose weighted form diag(T, S) r overflows is a
+    ConfigError naming the reference, raised without a numpy warning."""
+    for reference in ([1e308] * 4, [0.0, -1e306, 0.0, 0.0], [0.0, 0.0, 1e306, 0.0]):
+        doc = default_pendulum_config()
+        doc["reference"] = reference
+        with np.errstate(all="raise"), pytest.raises(ConfigError) as exc:
+            parse_config(doc)
+        assert exc.value.field == "reference" and "diag(T, S) r" in str(exc.value)
+    doc = default_pendulum_config()
+    doc["reference"] = [1e300, 0.0, 1e300, 1e307]
+    assert parse_config(doc).reference.tolist() == doc["reference"]
+
+
 def test_output_key_type():
     doc = default_pendulum_config()
     assert parse_config(doc).output is None

@@ -7,6 +7,7 @@ import pytest
 
 from test_solver import reference_warmstart_predict
 
+from mpct_eadmm import pendulum
 from mpct_eadmm.errors import DimensionMismatch, MissingWarmstartGain, SingularConfiguration
 from mpct_eadmm.offline import build_offline
 from mpct_eadmm.pendulum import (
@@ -23,7 +24,7 @@ from mpct_eadmm.pendulum import (
     unscale_input,
 )
 from mpct_eadmm.problem import EXIT_TESTS, validate_problem
-from mpct_eadmm.solver import cold_start, eadmm_solve
+from mpct_eadmm.solver import Scratch, cold_start, eadmm_solve
 
 
 def test_equilibrium_derivative_zero():
@@ -258,6 +259,46 @@ def test_closed_loop_bytes_match_reference_loop(problem, offline, benchmark_x0, 
         for name, a, b in zip(names, got, want):
             assert a.dtype == b.dtype and a.shape == b.shape, (name, warmstart)
             assert a.tobytes() == b.tobytes(), (name, warmstart)
+
+
+RESULT_ARRAYS = ("z1", "z2", "z3", "lam", "u0", "xs_us")
+
+
+def test_warm_loop_results_outlive_the_shared_scratch(
+    problem, offline, benchmark_x0, zero_ref, monkeypatch
+):
+    """Results a caller keeps from a warm loop stay as they were returned.
+
+    The solve is wrapped the way a step recorder wraps it: every (x, result)
+    is kept, with copies of its arrays taken at the time. After 50 warm
+    steps every kept result equals its copy byte for byte, every step's
+    state shares the first step's scratch, and no result array shares
+    memory with a scratch buffer.
+    """
+    kept = []
+
+    def keep(offline_data, problem, x, r, initial=None):
+        result = eadmm_solve(offline_data, problem, x, r, initial)
+        copies = {name: getattr(result, name).copy() for name in RESULT_ARRAYS}
+        kept.append((x, x.copy(), result, copies))
+        return result
+
+    monkeypatch.setattr(pendulum, "eadmm_solve", keep)
+    sim = SimConfig(steps=50)
+    trajectory = closed_loop(problem, offline, sim, benchmark_x0, zero_ref, warmstart=True)
+    assert len(kept) == 50 and not trajectory.aborted
+    scratch = kept[0][2].scratch
+    buffers = [getattr(scratch, name) for name in Scratch.__slots__]
+    odd = 0
+    for k, (x, x_copy, result, copies) in enumerate(kept):
+        assert x.tobytes() == x_copy.tobytes(), k
+        assert result.scratch is scratch, k
+        for name, copy in copies.items():
+            array = getattr(result, name)
+            assert array.tobytes() == copy.tobytes(), (k, name)
+            assert not any(np.shares_memory(array, b) for b in buffers), (k, name)
+        odd += result.iterations % 2
+    assert 0 < odd < 50  # both buffer parities occur along the chain
 
 
 def test_closed_loop_deterministic(problem, offline):

@@ -12,14 +12,12 @@ from scipy.linalg.lapack import dpbtrs
 from mpct_eadmm import dense, kernel, solver
 from mpct_eadmm.errors import DimensionMismatch, NumericalBreakdown
 from mpct_eadmm.solver import (
-    Scratch,
     SolverState,
     banded_forward_backward,
     cold_start,
     compute_residual,
     dual_residual,
     eadmm_solve,
-    linear_terms,
     solve_qp1,
     solve_qp2,
     solve_qp3,
@@ -336,6 +334,49 @@ def test_eadmm_solve_numerical_breakdown(problem, offline):
                 eadmm_solve(offline, problem, x, np.zeros(4), initial=state)
 
 
+# The numpy form of diag(T, S) r that the kernel's solve replaced, kept as
+# the reference it must reproduce byte for byte.
+def linear_terms(problem, r):
+    """Per-solve constants of the iteration: diag(T, S) r and the model's [A B]."""
+    n = problem.n
+    ts_r = np.empty(n + problem.m)
+    np.dot(problem.costs.T, r[:n], out=ts_r[:n])
+    np.dot(problem.costs.S, r[n:], out=ts_r[n:])
+    return ts_r, problem.model.AB
+
+
+def kernel_ts_r(problem, offline, r):
+    """diag(T, S) r as the kernel's solve forms it: a solve of no iteration."""
+    state = cold_start(problem.n, problem.m, problem.N)
+    operands = solver.solve_operands(state, offline, problem, np.zeros(problem.n), r)
+    assert kernel.load().solve(*operands, 1e-4, False, 0)[:2] == (solver.CAPPED, 0)
+    return state.scratch.ts_r
+
+
+@pytest.mark.parametrize("case", range(9))
+def test_kernel_weighted_reference_bit_identical_to_numpy(case):
+    """The kernel's diag(T, S) r against the two np.dot calls, byte for byte:
+    the case's reference, signed zeros, infinities, NaN, 1e308 and values
+    spread over 16 decades. The cases include n = 1, where numpy takes its
+    one-product scalar path (which keeps -0.0), and m > n."""
+    problem, _, _, r = match_cases()[case]
+    nm = problem.n + problem.m
+    offline = build_offline(problem, with_warmstart=False)
+    rng = np.random.default_rng(59 + case)
+    refs = [r, np.full(nm, -0.0), np.zeros(nm), np.full(nm, 1e308), np.full(nm, -1e308)]
+    for special in (-0.0, np.inf, -np.inf, np.nan):
+        for at in range(nm):
+            ref = rng.standard_normal(nm)
+            ref[at] = special
+            refs.append(ref)
+    refs += [rng.standard_normal(nm) * 10.0 ** rng.integers(-8, 8, nm) for _ in range(20)]
+    for k, ref in enumerate(refs):
+        with np.errstate(over="ignore", invalid="ignore"):
+            want, _ = linear_terms(problem, ref)
+        got = kernel_ts_r(problem, offline, ref)
+        assert got.tobytes() == want.tobytes(), (k, got, want)
+
+
 # Reference step: the five stage bodies written plainly in numpy, with a
 # fresh temporary for every operation. The compiled kernel must reproduce
 # them bit for bit.
@@ -472,14 +513,13 @@ def reference_warmstart_predict(prev, gain, x_prev, x_next):
     x_prev = np.asarray(x_prev, dtype=float).ravel()
     x_next = np.asarray(x_next, dtype=float).ravel()
     n = gain.P_z3_head.shape[0]
-    nm, cols = prev.z1.shape
     state = SolverState(
         z1=prev.z1.copy(),
         z2=prev.z2.copy(),
         z3=prev.z3.copy(),
         lam=prev.lam.copy(),
         gamma=np.zeros_like(prev.lam),
-        scratch=Scratch(n, nm - n, cols - 1),
+        scratch=prev.scratch,
     )
     dx = x_next - x_prev
     state.z2 -= gain.P_z2 @ dx
@@ -495,7 +535,8 @@ def test_warm_shift_bit_identical_to_reference(case):
     form, byte for byte, from a solved state: to the case's next state, to
     the same state, and by displacements spread over 16 decades. The cases
     include n = 1, where numpy's ``@`` does not call dgemv, and m > n. The
-    new state shares no memory with the previous solution."""
+    new state's iterates share no memory with the previous solution, and
+    it shares the previous solve's scratch."""
     problem, x, x_next, r = match_cases()[case]
     n = problem.n
     offline = build_offline(problem)
@@ -511,9 +552,7 @@ def test_warm_shift_bit_identical_to_reference(case):
             a, b = getattr(got, name), getattr(want, name)
             assert a.shape == b.shape and a.tobytes() == b.tobytes(), (name, k)
             assert not any(np.shares_memory(a, source) for source in sources), (name, k)
-        for name in Scratch.__slots__:
-            assert getattr(got.scratch, name).shape == getattr(want.scratch, name).shape, name
-        assert not got.scratch.zsum.any() and got.iterations == 0
+        assert got.scratch is prev.scratch and got.iterations == 0
 
 
 def test_warmstart_predict_rejects_shapes_that_do_not_fit(problem, offline):
@@ -766,6 +805,51 @@ def test_solve_result_unchanged_by_later_solves(problem, offline):
         assert not np.shares_memory(getattr(first, name), getattr(warm, name)), name
 
 
+def test_warm_starts_from_one_result_share_its_scratch_safely(problem, offline):
+    """Two states warm-started from one result share its scratch. Solved in
+    either order, each gives the bytes of a solve from a fresh scratch, and
+    the first result stays intact."""
+    x, r = np.array([0.1, -0.2, 1.0]), np.zeros(problem.n + problem.m)
+    targets = (np.array([0.12, -0.25, 0.97]), np.array([0.05, -0.1, 1.1]))
+    names = ("z1", "z2", "z3", "lam", "gamma")
+
+    def outcome(state, result):
+        return [getattr(state, name).tobytes() for name in names] + [
+            result.u0.tobytes(), result.xs_us.tobytes(), result.iterations,
+            float_bytes(result.residual_inf), float_bytes(result.dual_residual),
+        ]
+
+    first = eadmm_solve(offline, problem, x, r)
+    want = []
+    for target in targets:
+        state = warmstart_predict(first, offline.warmstart, x, target)
+        state.scratch = cold_start(problem.n, problem.m, problem.N).scratch
+        want.append(outcome(state, eadmm_solve(offline, problem, target, r, state)))
+    assert {w[7] % 2 for w in want} == {0, 1}  # one odd and one even iteration count
+    for order in ((0, 1), (1, 0)):
+        first = eadmm_solve(offline, problem, x, r)
+        kept = {name: getattr(first, name).copy() for name in ("z1", "z2", "z3", "lam")}
+        states = [warmstart_predict(first, offline.warmstart, x, t) for t in targets]
+        assert all(state.scratch is first.scratch for state in states)
+        for k in order:
+            got = outcome(states[k], eadmm_solve(offline, problem, targets[k], r, states[k]))
+            assert got == want[k], (order, k)
+        for name, copy in kept.items():
+            assert getattr(first, name).tobytes() == copy.tobytes(), (order, name)
+
+
+def test_warm_start_from_a_result_without_scratch_is_rejected(problem, offline):
+    """A result built by hand carries no scratch; a state warm-started from
+    it is a DimensionMismatch when solved, not an AttributeError."""
+    x, r = np.array([0.1, -0.2, 1.0]), np.zeros(problem.n + problem.m)
+    solved = eadmm_solve(offline, problem, x, r)
+    by_hand = replace(solved, scratch=None)
+    state = warmstart_predict(by_hand, offline.warmstart, x, x)
+    assert state.scratch is None
+    with pytest.raises(DimensionMismatch, match="initial state has no scratch"):
+        eadmm_solve(offline, problem, x, r, initial=state)
+
+
 def test_non_finite_entries_propagate_like_numpy(problem, offline):
     """A NaN or an infinity in z2, z3 or lambda ends in the same entries, with
     the same values, as in the numpy reference step (clip and abs-max
@@ -857,8 +941,8 @@ KERNEL_OPERANDS = {
     "band_solve": dict(band=R, rhs=W),
     "solve": dict(
         z1=W, z2=W, z3=W, lam=W, gamma=W, zsum=W, z2_spare=W, z3_spare=W, q2=W, q3=W, work=W,
-        prod=W, rhs=W, x=R, ts_r=R, AB=R, columns=R, H1_inv=R, z1_lb=R, z1_ub=R, M2=R, H3_inv=R,
-        band=R,
+        prod=W, rhs=W, ts_r=W, x=R, r=R, T=R, S=R, AB=R, columns=R, H1_inv=R, z1_lb=R, z1_ub=R,
+        M2=R, H3_inv=R, band=R,
     ),
     "warm_shift": dict(
         prev_z1=R, prev_z2=R, prev_z3=R, prev_lam=R, P_z3_head=R, P_z2=R, P_lambda_head=R,
@@ -878,7 +962,9 @@ def kernel_calls():
     offline = build_offline(problem)
     state = random_state(np.random.default_rng(47), problem)
     x, rho = np.array([0.1, -0.2, 1.0]), problem.rho
-    ts_r, AB = linear_terms(problem, np.zeros(problem.n + problem.m))
+    r = np.array([0.0, 0.0, 0.5, 0.0])
+    ts_r, AB = state.scratch.ts_r, problem.model.AB
+    ts_r[:] = linear_terms(problem, r)[0]
     real, calls, passed = kernel.load(), {}, {}
 
     def recorded(entry, args):
@@ -886,8 +972,8 @@ def kernel_calls():
         known = dict(
             z1=state.z1, z2=state.z2, z3=state.z3, lam=state.lam, gamma=state.gamma,
             zsum=sc.zsum, z2_spare=sc.z2, z3_spare=sc.z3, q2=sc.q2, q3=sc.q3, work=sc.work,
-            prod=sc.prod, rhs=sc.rhs, x=x, ts_r=ts_r, AB=AB, columns=rho.columns,
-            H1_inv=offline.H1_inv, z1_lb=offline.z1_lb, z1_ub=offline.z1_ub, M2=offline.M2,
+            prod=sc.prod, rhs=sc.rhs, x=x, r=r, T=problem.costs.T, S=problem.costs.S, ts_r=ts_r,
+            AB=AB, columns=rho.columns, H1_inv=offline.H1_inv, z1_lb=offline.z1_lb, z1_ub=offline.z1_ub, M2=offline.M2,
             H3_inv=offline.H3_inv, band=offline.band,
         )
         names = {id(a): name for name, a in known.items()}
@@ -929,7 +1015,7 @@ def kernel_calls():
         x_next=x_next, z1=warm.z1, z2=warm.z2, z3=warm.z3, lam=warm.lam, gamma=warm.gamma,
     ))
     named_after("plant_step", dict(next_state=next_state, state=plant_state, u=u))
-    operands = solver.solve_operands(state, offline, rho, x, ts_r, AB)
+    operands = solver.solve_operands(state, offline, problem, x, r)
     recorded("solve", (*operands, problem.config.epsilon, False, 50))
     return calls
 
@@ -940,10 +1026,11 @@ def copied_argument(a):
 
 def wrong_order(a):
     """The same values in the other memory order; a strided view for a vector,
-    and a misaligned copy for a one-entry vector, which numpy counts as
-    contiguous at any stride."""
-    if a.shape == (1,):
+    and a misaligned copy for a one-entry vector or matrix, which numpy counts
+    as contiguous in either order."""
+    if a.size == 1:
         misaligned = np.zeros(a.nbytes + 1, dtype=np.uint8)[1:].view(np.float64)
+        misaligned = misaligned.reshape(a.shape)
         misaligned[...] = a
         return misaligned
     if a.ndim == 1:

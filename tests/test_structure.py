@@ -113,6 +113,52 @@ def test_only_the_solver_runs_the_iteration():
         assert taken <= {"eadmm_solve", "cold_start", "warmstart_predict"}, module
 
 
+def calls_named(tree, name):
+    """The calls in ``tree`` of a function or method called ``name``."""
+    return [
+        node
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and name in (getattr(node.func, "id", None), getattr(node.func, "attr", None))
+    ]
+
+
+def test_only_cold_start_allocates_a_scratch():
+    """One place builds the solver's work space: every ``Scratch(`` call in
+    the package is in solver.cold_start, so a warm chain of solves, which
+    starts from one cold_start, allocates it once."""
+    builders, total = set(), 0
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        total += len(calls_named(tree, "Scratch"))
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                if calls_named(node, "Scratch"):
+                    builders.add(f"{path.stem}.{node.name}")
+    solver_tree = ast.parse((PACKAGE / "solver.py").read_text())
+    cold = next(
+        node for node in solver_tree.body
+        if isinstance(node, ast.FunctionDef) and node.name == "cold_start"
+    )
+    assert builders == {"solver.cold_start"}
+    assert total == len(calls_named(cold, "Scratch")) == 1
+
+
+def test_solver_forms_no_matrix_product_in_python():
+    """diag(T, S) r is the kernel's: eadmm_solve, and the rest of solver.py,
+    call no np.dot or np.matmul and use no ``@``."""
+    tree = ast.parse((PACKAGE / "solver.py").read_text())
+    solve = next(
+        node for node in tree.body if isinstance(node, ast.FunctionDef) and node.name == "eadmm_solve"
+    )
+    for scope in (solve, tree):
+        assert not calls_named(scope, "dot") and not calls_named(scope, "matmul")
+        assert not any(
+            isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult)
+            for node in ast.walk(scope)
+        )
+
+
 def test_online_solve_forms_no_horizon_sized_matrix():
     """A cold solve at N = 100 allocates a few times the factor's band.
 
