@@ -39,7 +39,6 @@ from .problem import (
     validate_problem,
 )
 from .solver import (
-    SolveResult,
     SolverState,
     cold_start,
     eadmm_solve,
@@ -67,7 +66,6 @@ __all__ = [
     "RankDeficientG2",
     "SingularConfiguration",
     "SingularKkt",
-    "SolveResult",
     "SolverState",
     "SystemModel",
     "ValidatedProblem",

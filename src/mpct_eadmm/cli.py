@@ -115,7 +115,7 @@ def cmd_solve(args):
                 "dual_residual": result.dual_residual,
                 "converged": result.converged,
                 "certified": result.certified,
-                "metadata": result.metadata,
+                "metadata": {"rho_exceeds_bound": offline.rho_exceeds_bound},
             }
         )
     )

@@ -54,15 +54,20 @@ def _settings(cls, doc, prefix="", renames=None):
     """A ``cls`` instance from the document keys present, its defaults for the rest.
 
     Each value is cast to its field's type and checked by ``cls`` on its own,
-    so an invalid one raises a :class:`ConfigError` naming its key.
+    so an invalid one raises a :class:`ConfigError` naming its key. An
+    ``int`` field takes 12 or 12.0, not 12.7, inf, NaN or a bool; a null
+    keeps a default of None.
     """
     kwargs = {}
     for f in fields(cls):
         path = prefix + (renames or {}).get(f.name, f.name)
         value = _get(doc, path, default=_MISSING)
-        if value is _MISSING:
+        if value is _MISSING or (value is None and f.default is None):
             continue
         try:
+            integral = type(value) is int or isinstance(value, float) and value.is_integer()
+            if f.type is int and not integral:
+                raise ValueError(f"expected an integer, got {value!r}")
             kwargs[f.name] = f.type(value)
             cls(**{f.name: kwargs[f.name]})
         except ConfigError:
@@ -164,10 +169,10 @@ def parse_config(doc):
         raise ConfigError("(problem)", str(exc)) from None
     sim = _settings(SimConfig, doc, prefix="sim.")
     pend_doc = _get(doc, "sim.pendulum", default={})
-    try:
-        pendulum = PendulumParams(**pend_doc)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError("sim.pendulum", str(exc)) from None
+    names = [f.name for f in fields(PendulumParams)]
+    if not isinstance(pend_doc, dict) or not pend_doc.keys() <= set(names):
+        raise ConfigError("sim.pendulum", f"expected an object with keys among {names}")
+    pendulum = _settings(PendulumParams, doc, prefix="sim.pendulum.")
     x0 = _finite_vector(doc, "sim.x0", model.n)
     reference = _finite_vector(doc, "reference", model.n + model.m)
     _check_weighted_reference(costs, reference)

@@ -67,8 +67,8 @@ class PendulumParams:
         if self.I_yy is None:
             self.I_yy = 2.0 * self.M_body * self.L**2
         for name in ("m_r", "M_body", "wheel_radius", "L", "g", "I_yy"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be strictly positive")
+            if not 0 < getattr(self, name) < np.inf:
+                raise ValueError(f"{name} must be finite and strictly positive")
 
 
 @dataclass
@@ -81,10 +81,10 @@ class SimConfig:
     scale: float = PENDULUM_SCALE
 
     def __post_init__(self):
-        if self.Ts <= 0 or self.scale <= 0:
-            raise ValueError("Ts and scale must be > 0")
-        if self.substeps < 1:
-            raise ValueError("substeps must be >= 1")
+        if not (0 < self.Ts < np.inf and 0 < self.scale < np.inf):
+            raise ValueError("Ts and scale must be finite and > 0")
+        if not (self.steps >= 1 and self.substeps >= 1):
+            raise ValueError("steps and substeps must be >= 1")
 
 
 @dataclass
@@ -97,7 +97,7 @@ class Trajectory:
     iterations: np.ndarray  # (steps,)
     residuals: np.ndarray  # (steps,)
     wall_times: np.ndarray  # (steps,) seconds
-    certified: np.ndarray  # (steps,) bool, see SolveResult.certified
+    certified: np.ndarray  # (steps,) bool, see SolverState.certified
     aborted: bool = False
 
 

@@ -3,11 +3,12 @@
 All per-iteration work is matrix-free apart from the small dense gain of the
 artificial-reference subproblem and one LAPACK band solve; no horizon-sized
 matrix is ever formed. Horizon-indexed iterates live in
-column-block layout: one (n+m) column per prediction step. The iterations
-write into the iterates in place and into a :class:`Scratch` of work
-buffers. :func:`cold_start` is the only place that allocates one; the states
-:func:`warmstart_predict` makes from a solve's result share that solve's, so
-a warm chain of solves allocates its work space once.
+column-block layout: one (n+m) column per prediction step. A
+:class:`SolverState` holds the four iterates, a :class:`Scratch` of work
+buffers and its last solve's outcome; :func:`eadmm_solve` iterates it in
+place and returns it. :func:`cold_start` is the only place that allocates a
+scratch; a state from :func:`warmstart_predict` shares its predecessor's,
+so a warm chain of solves allocates its work space once.
 
 At these array sizes a numpy call costs more than its arithmetic, so the
 iteration runs in a compiled C kernel (``_kernel.c``, built on first use by
@@ -60,29 +61,35 @@ class Scratch:
 
     ``zsum`` is z2 + z3 broadcast over the columns, as the last
     :func:`compute_residual` left it; the next :func:`solve_qp1` reads it.
-    ``z2``/``z3`` receive the next iterates of :func:`solve_qp2` and
-    :func:`solve_qp3`, which then swap them with the state's, so the
-    previous iterates stay readable for :func:`dual_residual`. The rest is
-    work space reused across the stages: ``q2`` the linear term of the
-    reference subproblem, ``q3`` and ``work`` (shape of z3) the deviation
-    subproblem's, ``prod`` the (n+m) x N products with [A B] and its
-    transpose, ``rhs`` the band solve's right-hand side in ``dpbtrs``'s
-    layout (block j in entries j*n to (j+1)*n - 1), which the solve
-    overwrites with its solution, and ``ts_r`` the solve's diag(T, S) r.
+    ``gamma``, the equality residual in lambda's layout (see
+    :class:`SolverState`), is written by :func:`compute_residual` and read
+    by :func:`update_duals`. ``z2``/``z3`` receive the next iterates
+    of :func:`solve_qp2` and :func:`solve_qp3`, which then swap them with
+    the state's, so the previous iterates stay readable for
+    :func:`dual_residual`. The rest is work space reused across the stages:
+    ``q2`` the linear term of the reference subproblem, ``q3`` and ``work``
+    (shape of z3) the deviation subproblem's, ``prod`` the (n+m) x N
+    products with [A B] and its transpose, ``rhs`` the band solve's
+    right-hand side in ``dpbtrs``'s layout (block j in entries j*n to
+    (j+1)*n - 1), which the solve overwrites with its solution, and
+    ``ts_r`` the solve's diag(T, S) r.
 
     A scratch holds no state between solves: :func:`eadmm_solve` writes
     ``ts_r`` and ``zsum`` on entry, and the iterations write every other
-    buffer before they read it. A solve only trades its own state's z2 and
-    z3 with the spare ones here, so the spares are never any state's
-    current iterates, and states (and results) that share a scratch keep
-    their arrays intact.
+    buffer before they read it. gamma's padding is zero from construction
+    and no stage writes it; :func:`warmstart_predict`, which uses gamma as
+    temporary space, zeroes all of gamma after. A solve only trades its own
+    state's z2 and z3 with the spare ones here, so the spares are never any
+    state's current iterates, and states that share a scratch keep their
+    arrays intact.
     """
 
-    __slots__ = ("zsum", "z2", "z3", "q2", "q3", "work", "prod", "rhs", "ts_r")
+    __slots__ = ("zsum", "gamma", "z2", "z3", "q2", "q3", "work", "prod", "rhs", "ts_r")
 
     def __init__(self, n, m, N):
         nm = n + m
         self.zsum = np.zeros((nm, N + 1))
+        self.gamma = np.zeros((nm, N + 3))
         self.z2 = np.empty(nm)
         self.z3 = np.empty((nm, N + 1))
         self.q2 = np.empty(nm)
@@ -93,72 +100,57 @@ class Scratch:
         self.ts_r = np.empty(nm)
 
 
-@dataclass
+@dataclass(slots=True)
 class SolverState:
-    """Iterates of the three-block splitting, and their scratch buffers.
+    """Iterates of the three-block splitting, their scratch, and the outcome.
 
     z1: trajectory block, column j holds (x_j, u_j).
     z2: artificial reference (xs, us).
     z3: deviation block, column j holds (x_j - xs, u_j - us).
-    lambda_/gamma: duals and equality residual; column 0 is the initial-state
-    constraint (last m entries are structural padding and stay zero), columns
-    1..N+1 the congruence constraints, column N+2 the terminal equalities.
+    lam: duals; column 0 is the initial-state constraint (last m entries are
+    structural padding and stay zero), columns 1..N+1 the congruence
+    constraints, column N+2 the terminal equalities.
     scratch: see :class:`Scratch`; states of one warm chain share it. Its
     ``zsum`` must equal z2 + z3 when :func:`solve_qp1` runs;
     :func:`eadmm_solve` sets it on entry and every iteration keeps it.
+    iterations: iterations run on this state, over all its solves.
+
+    The other fields are what the state's last :func:`eadmm_solve`
+    reported (their defaults before any). ``converged`` says the configured
+    exit test passed within the iteration cap. ``certified`` says more:
+    both the primal residual ``residual_inf`` and the dual residual
+    ``dual_residual`` are within ``epsilon``, so the point is near-optimal,
+    not only feasible. Under the default exit test the two flags agree;
+    under the paper's primal-only test a converged solve can be
+    uncertified. ``dual_residual`` is the value at the last iteration that
+    passed the primal test, NaN when none did. ``u0`` and ``xs_us`` are
+    copies of the first input and of z2. A later solve of this state object
+    writes over its iterates and outcome; one of a state that
+    :func:`warmstart_predict` made from it does not.
     """
 
     z1: np.ndarray
     z2: np.ndarray
     z3: np.ndarray
     lam: np.ndarray
-    gamma: np.ndarray
     scratch: Scratch = field(repr=False)
     iterations: int = 0
-
-
-@dataclass(slots=True)
-class SolveResult:
-    """Converged (or best-effort) solution of one MPCT problem instance.
-
-    ``converged`` says the configured exit test passed within the iteration
-    cap. ``certified`` says more: both the primal residual ``residual_inf``
-    and the dual residual ``dual_residual`` are within ``epsilon``, so the
-    point is near-optimal, not only feasible. Under the default exit test the
-    two flags agree; under the paper's primal-only test a converged solve can
-    be uncertified. ``dual_residual`` is the value at the last iteration that
-    passed the primal test, NaN when none did. The arrays are the solve's
-    state's own: a later solve that continues from the same state object as
-    ``initial`` writes over them, one from :func:`warmstart_predict` does not.
-    ``scratch`` is the state's :class:`Scratch`, which
-    :func:`warmstart_predict` hands on to the next state; a result built by
-    hand has none, and a state warm-started from it cannot be solved.
-    """
-
-    z1: np.ndarray
-    z2: np.ndarray
-    z3: np.ndarray
-    lam: np.ndarray
-    iterations: int
-    residual_inf: float
-    converged: bool
-    u0: np.ndarray
-    xs_us: np.ndarray
-    metadata: dict = field(default_factory=dict)
-    dual_residual: float = float("nan")
+    residual_inf: float = math.nan
+    converged: bool = False
+    dual_residual: float = math.nan
     certified: bool = False
-    scratch: Scratch = field(default=None, repr=False, compare=False)
+    u0: np.ndarray = None
+    xs_us: np.ndarray = None
 
 
 def cold_start(n, m, N):
-    """All-zero solver state for the given dimensions, with a new :class:`Scratch`."""
+    """All-zero iterates for the given dimensions, with a new :class:`Scratch`."""
     nm = n + m
     return SolverState(
         z1=np.zeros((nm, N + 1)),
         z2=np.zeros(nm),
         z3=np.zeros((nm, N + 1)),
         lam=np.zeros((nm, N + 3)),
-        gamma=np.zeros((nm, N + 3)),
         scratch=Scratch(n, m, N),
     )
 
@@ -230,11 +222,10 @@ def solve_qp3(state, offline, rho, AB):
 def compute_residual(state, offline, x):
     """Equality-constraint residual in column-block layout and its inf-norm.
 
-    Also leaves z2 + z3 in ``scratch.zsum`` for the next :func:`solve_qp1`.
-    The padding of gamma's first column is not written: it is zero from
-    :func:`cold_start` or :func:`warmstart_predict` on.
+    The residual goes to ``scratch.gamma``, whose padding it leaves zero,
+    and z2 + z3 to ``scratch.zsum`` for the next :func:`solve_qp1`.
     """
-    g = state.gamma
+    g = state.scratch.gamma
     res = kernel.load().residual(state.z1, g, state.scratch.zsum, state.z2, state.z3, x)
     return g, res
 
@@ -255,8 +246,8 @@ def dual_residual(z2_prev, z3_prev, state, rho):
 
 
 def update_duals(state, rho):
-    """Gradient-ascent dual update with the componentwise penalty, in place."""
-    kernel.load().duals(state.lam, rho.columns, state.gamma)
+    """Dual ascent on ``scratch.gamma`` with the componentwise penalty, in place."""
+    kernel.load().duals(state.lam, rho.columns, state.scratch.gamma)
     return state.lam
 
 
@@ -306,7 +297,7 @@ def solve_operands(state, offline, problem, x, r):
     """The arrays of the kernel's ``solve``, in its argument order."""
     sc, costs = state.scratch, problem.costs
     return (
-        state.z1, state.z2, state.z3, state.lam, state.gamma, sc.zsum, sc.z2, sc.z3, sc.q2,
+        state.z1, state.z2, state.z3, state.lam, sc.gamma, sc.zsum, sc.z2, sc.z3, sc.q2,
         sc.q3, sc.work, sc.prod, sc.rhs, sc.ts_r, x, r, costs.T, costs.S, problem.model.AB,
         problem.rho.columns, offline.H1_inv, offline.z1_lb, offline.z1_ub, offline.M2,
         offline.H3_inv, offline.band,
@@ -333,21 +324,24 @@ def eadmm_solve(offline, problem, x, r, initial=None):
     (:func:`dual_residual`). The default exit test stops when that is within
     ``epsilon`` too; ``exit_test="primal"``, the paper's rule, stops on the
     primal residual alone. Either way the iterates are the same, and the
-    result's ``certified`` flag says whether both residuals were within
+    state's ``certified`` flag says whether both residuals were within
     ``epsilon`` at exit.
 
     The iterations run in one kernel call, or through the stage functions
     when one of them was replaced (see the module docstring); both write
     into the state's scratch buffers and allocate no array storage. The
     kernel forms diag(T, S) r in ``scratch.ts_r`` first; a reference whose
-    weighted form is not finite breaks down at the first iteration. Returns
-    a :class:`SolveResult`; non-convergence is reported through the
-    ``converged`` flag, not an exception. Offline data, an initial state or
-    vectors whose dimensions do not match the problem raise
-    :class:`DimensionMismatch`, as do initial-state arrays that are not
-    C-contiguous float64; a non-finite residual aborts with
-    :class:`NumericalBreakdown`. If the compiled kernel has to be built and
-    cannot be, the first solve raises :class:`KernelBuildFailure`.
+    weighted form is not finite breaks down at the first iteration.
+
+    Returns ``initial``, or a new :func:`cold_start` state, with its outcome
+    fields filled; non-convergence is reported through the ``converged``
+    flag, not an exception. Offline data, an initial state or vectors whose
+    dimensions do not match the problem raise :class:`DimensionMismatch`,
+    as do initial-state arrays that are not C-contiguous float64 and a
+    state without scratch; a non-finite residual aborts with
+    :class:`NumericalBreakdown` once the outcome is filled. If the compiled
+    kernel has to be built and cannot be, the first solve raises
+    :class:`KernelBuildFailure`.
     """
     n, m, N = problem.n, problem.m, problem.N
     nm = n + m
@@ -364,8 +358,8 @@ def eadmm_solve(offline, problem, x, r, initial=None):
             f"x must have shape ({n},) and r shape ({nm},); got {x.shape}, {r.shape}"
         )
     state = initial if initial is not None else cold_start(n, m, N)
-    shapes = [a.shape for a in (state.z1, state.z2, state.z3, state.lam, state.gamma)]
-    if shapes != [(nm, N + 1), (nm,), (nm, N + 1), (nm, N + 3), (nm, N + 3)]:
+    shapes = [a.shape for a in (state.z1, state.z2, state.z3, state.lam)]
+    if shapes != [(nm, N + 1), (nm,), (nm, N + 1), (nm, N + 3)]:
         raise DimensionMismatch(f"initial state shapes {shapes} do not fit {(n, m, N)}")
     if state.scratch is None:
         raise DimensionMismatch("initial state has no scratch buffers")
@@ -374,24 +368,13 @@ def eadmm_solve(offline, problem, x, r, initial=None):
     status, res, dual = loop(
         state, offline, problem, x, r, config.epsilon, primal_only, config.max_iter
     )
+    state.residual_inf, state.dual_residual = res, dual
+    state.converged = status == CONVERGED
+    state.certified = state.converged and dual <= config.epsilon
+    state.u0, state.xs_us = state.z1[n:, 0].copy(), state.z2.copy()
     if status == BREAKDOWN:
         raise NumericalBreakdown(f"non-finite residual at iteration {state.iterations}")
-    converged = status == CONVERGED
-    return SolveResult(
-        z1=state.z1,
-        z2=state.z2,
-        z3=state.z3,
-        lam=state.lam,
-        iterations=state.iterations,
-        residual_inf=res,
-        converged=converged,
-        u0=state.z1[n:, 0].copy(),
-        xs_us=state.z2.copy(),
-        metadata={"rho_exceeds_bound": offline.rho_exceeds_bound},
-        dual_residual=dual,
-        certified=converged and dual <= config.epsilon,
-        scratch=state.scratch,
-    )
+    return state
 
 
 # The stage globals as this module defines them. While none is replaced,
@@ -410,19 +393,21 @@ def warmstart_predict(prev, gain, x_prev, x_next):
     ``prev``, and which shares ``prev.scratch``, the work space of the solve
     that gave ``prev``: no :class:`Scratch` is allocated along a warm chain,
     and solving the new state leaves ``prev``'s arrays intact. One kernel
-    call fills the iterates: it copies prev's z1, z2, z3 and lambda,
+    call fills the iterates: it copies prev's z1, z2, z3 and lambda and
     subtracts the gain's four products with x_next - x_prev, each the BLAS
-    call numpy's ``@`` makes, and zeroes gamma. The previous
-    solution's arrays and the gain's blocks must be C-contiguous float64
-    arrays whose shapes fit each other, and the states must have n entries;
+    call numpy's ``@`` makes, using the scratch's gamma as temporary space
+    and zeroing it after. The previous solution's arrays and the gain's
+    blocks must be C-contiguous float64 arrays whose shapes fit each other,
+    the states must have n entries, and ``prev`` must have a scratch;
     anything else raises :class:`DimensionMismatch`.
     """
+    if prev.scratch is None:
+        raise DimensionMismatch("previous state has no scratch buffers")
     x_prev = np.asarray(x_prev, dtype=float).ravel()
     x_next = np.asarray(x_next, dtype=float).ravel()
     z1, z2, z3, lam = (np.empty(a.shape) for a in (prev.z1, prev.z2, prev.z3, prev.lam))
-    gamma = np.empty(lam.shape)
     kernel.load().warm_shift(
         prev.z1, prev.z2, prev.z3, prev.lam, gain.P_z3_head, gain.P_z2, gain.P_lambda_head,
-        x_prev, x_next, z1, z2, z3, lam, gamma,
+        x_prev, x_next, z1, z2, z3, lam, prev.scratch.gamma,
     )
-    return SolverState(z1=z1, z2=z2, z3=z3, lam=lam, gamma=gamma, scratch=prev.scratch)
+    return SolverState(z1=z1, z2=z2, z3=z3, lam=lam, scratch=prev.scratch)

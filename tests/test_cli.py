@@ -6,6 +6,7 @@ import warnings
 
 import numpy as np
 import pytest
+from test_config import bad_numbers, with_value
 
 from mpct_eadmm import cli
 from mpct_eadmm.artifact import save_offline
@@ -270,6 +271,18 @@ def test_overflowing_weighted_reference_exit_code(tmp_path, capsys):
         captured = capsys.readouterr()
         assert "config error: reference: " in captured.err, command
         assert "RuntimeWarning" not in captured.err + captured.out, command
+
+
+@pytest.mark.parametrize("key, value", bad_numbers())
+def test_non_finite_or_fractional_numbers_exit_code(tmp_path, capsys, key, value):
+    """A NaN, an infinity or a fractional count in a numeric setting is a
+    config error naming the key, exit 1, for solve and simulate alike."""
+    path = write_config(tmp_path, lambda d: with_value(d, key, value))
+    for command in ("solve", "simulate"):
+        assert cli.main([command, "--config", path]) == 1, command
+        captured = capsys.readouterr()
+        assert f"config error: {key}: " in captured.err, (command, captured.err)
+        assert "Traceback" not in captured.err and captured.out == "", command
 
 
 def test_output_must_be_a_file_name(tmp_path, capsys):

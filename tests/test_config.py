@@ -1,13 +1,21 @@
 """JSON run-configuration parsing tests."""
 
 import json
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
 from mpct_eadmm.config import default_pendulum_config, load_config, parse_config
 from mpct_eadmm.errors import ConfigError
-from mpct_eadmm.pendulum import PENDULUM_COSTS, PENDULUM_MODEL, pendulum_problem
+from mpct_eadmm.pendulum import (
+    PENDULUM_COSTS,
+    PENDULUM_MODEL,
+    PendulumParams,
+    SimConfig,
+    pendulum_problem,
+)
+from mpct_eadmm.problem import MpctConfig
 
 
 def write_config(tmp_path, doc, name="cfg.json"):
@@ -190,6 +198,71 @@ def test_solver_fields_report_their_key():
     with pytest.raises(ConfigError) as exc:
         parse_config(doc)
     assert exc.value.field == "sim.substeps"
+
+
+def bad_numbers():
+    """(key, value): every numeric field of the solver, simulation and plant
+    settings with NaN and +-inf, and every integer field also with 2.5."""
+    keys = [("horizon" if f.name == "N" else f.name, f.type) for f in fields(MpctConfig)]
+    keys += [("sim." + f.name, f.type) for f in fields(SimConfig)]
+    keys += [("sim.pendulum." + f.name, f.type) for f in fields(PendulumParams)]
+    return [
+        (key, value)
+        for key, kind in keys
+        if kind in (int, float)
+        for value in (float("nan"), float("inf"), float("-inf")) + ((2.5,) if kind is int else ())
+    ]
+
+
+def with_value(doc, key, value):
+    """``doc`` with ``value`` at the dotted ``key``."""
+    *parents, last = key.split(".")
+    node = doc
+    for part in parents:
+        node = node.setdefault(part, {})
+    node[last] = value
+    return doc
+
+
+@pytest.mark.parametrize("key, value", bad_numbers())
+def test_non_finite_or_fractional_numbers_report_their_key(key, value):
+    """json.load reads NaN and Infinity; neither, nor a fractional count,
+    is a setting, and the error names the key."""
+    doc = with_value(default_pendulum_config(), key, value)
+    with pytest.raises(ConfigError) as exc:
+        parse_config(json.loads(json.dumps(doc)))
+    assert exc.value.field == key, str(exc.value)
+
+
+def test_integer_fields_take_integral_numbers_only():
+    """12.0 is the integer 12; 12.7, a bool or a numeric string is not an integer."""
+    doc = default_pendulum_config()
+    doc.update(horizon=12.0, max_iter=30.0)
+    doc["sim"].update(steps=7.0, substeps=3.0)
+    cfg = parse_config(doc)
+    assert (cfg.problem.N, cfg.problem.config.max_iter) == (12, 30)
+    assert (cfg.sim.steps, cfg.sim.substeps) == (7, 3) and type(cfg.sim.steps) is int
+    for key, bad in (("horizon", 12.7), ("max_iter", True), ("sim.steps", "250"), ("sim.steps", 0)):
+        with pytest.raises(ConfigError) as exc:
+            parse_config(with_value(default_pendulum_config(), key, bad))
+        assert exc.value.field == key, (key, bad)
+
+
+def test_pendulum_parameters_report_their_key():
+    doc = default_pendulum_config()
+    doc["sim"]["pendulum"] = {"L": 0.1, "I_yy": None}
+    params = parse_config(doc).pendulum
+    assert params.L == 0.1 and params.I_yy == 2.0 * params.M_body * 0.1**2
+    for bad, field in (
+        ({"L": -1.0}, "sim.pendulum.L"),
+        ({"g": "abc"}, "sim.pendulum.g"),
+        ({"mass": 1.0}, "sim.pendulum"),
+        ([1.0], "sim.pendulum"),
+    ):
+        doc["sim"]["pendulum"] = bad
+        with pytest.raises(ConfigError) as exc:
+            parse_config(doc)
+        assert exc.value.field == field, bad
 
 
 def test_default_document_matches_pendulum_problem():

@@ -17,7 +17,7 @@ from mpct_eadmm.offline import (
     factor_block_tridiagonal,
 )
 from mpct_eadmm.problem import CostWeights, PenaltyParams, SystemModel
-from mpct_eadmm.solver import warmstart_predict
+from mpct_eadmm.solver import Scratch, SolverState, warmstart_predict
 from mpct_eadmm.pendulum import pendulum_problem
 
 
@@ -297,17 +297,16 @@ def test_warmstart_reduced_matches_full(problem, offline, oracle_gain):
 
 
 def _random_result(rng, n, m, N):
-    from mpct_eadmm.solver import SolveResult
-
     nm = n + m
     lam = rng.standard_normal((nm, N + 3))
     lam[n:, 0] = 0.0
     z1 = rng.standard_normal((nm, N + 1))
-    return SolveResult(
+    return SolverState(
         z1=z1,
         z2=rng.standard_normal(nm),
         z3=rng.standard_normal((nm, N + 1)),
         lam=lam,
+        scratch=Scratch(n, m, N),
         iterations=1,
         residual_inf=0.0,
         converged=True,

@@ -262,6 +262,7 @@ def test_closed_loop_bytes_match_reference_loop(problem, offline, benchmark_x0, 
 
 
 RESULT_ARRAYS = ("z1", "z2", "z3", "lam", "u0", "xs_us")
+OUTCOME = ("iterations", "residual_inf", "converged", "dual_residual", "certified")
 
 
 def test_warm_loop_results_outlive_the_shared_scratch(
@@ -270,17 +271,20 @@ def test_warm_loop_results_outlive_the_shared_scratch(
     """Results a caller keeps from a warm loop stay as they were returned.
 
     The solve is wrapped the way a step recorder wraps it: every (x, result)
-    is kept, with copies of its arrays taken at the time. After 50 warm
-    steps every kept result equals its copy byte for byte, every step's
-    state shares the first step's scratch, and no result array shares
-    memory with a scratch buffer.
+    is kept, with copies of its arrays and its outcome taken at the time.
+    Each result is the state the loop passed in. After 50 warm steps every
+    kept result equals its copies byte for byte, every step's state shares
+    the first step's scratch, and no result array shares memory with a
+    scratch buffer.
     """
     kept = []
 
     def keep(offline_data, problem, x, r, initial=None):
         result = eadmm_solve(offline_data, problem, x, r, initial)
+        assert result is initial
         copies = {name: getattr(result, name).copy() for name in RESULT_ARRAYS}
-        kept.append((x, x.copy(), result, copies))
+        outcome = [np.float64(getattr(result, name)).tobytes() for name in OUTCOME]
+        kept.append((x, x.copy(), result, copies, outcome))
         return result
 
     monkeypatch.setattr(pendulum, "eadmm_solve", keep)
@@ -290,13 +294,14 @@ def test_warm_loop_results_outlive_the_shared_scratch(
     scratch = kept[0][2].scratch
     buffers = [getattr(scratch, name) for name in Scratch.__slots__]
     odd = 0
-    for k, (x, x_copy, result, copies) in enumerate(kept):
+    for k, (x, x_copy, result, copies, outcome) in enumerate(kept):
         assert x.tobytes() == x_copy.tobytes(), k
         assert result.scratch is scratch, k
         for name, copy in copies.items():
             array = getattr(result, name)
             assert array.tobytes() == copy.tobytes(), (k, name)
             assert not any(np.shares_memory(array, b) for b in buffers), (k, name)
+        assert [np.float64(getattr(result, name)).tobytes() for name in OUTCOME] == outcome, k
         odd += result.iterations % 2
     assert 0 < odd < 50  # both buffer parities occur along the chain
 

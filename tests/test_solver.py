@@ -12,6 +12,7 @@ from scipy.linalg.lapack import dpbtrs
 from mpct_eadmm import dense, kernel, solver
 from mpct_eadmm.errors import DimensionMismatch, NumericalBreakdown
 from mpct_eadmm.solver import (
+    Scratch,
     SolverState,
     banded_forward_backward,
     cold_start,
@@ -55,9 +56,19 @@ def dense_problem(problem, x, r):
 
 def test_cold_start_all_zero():
     state = cold_start(3, 1, 12)
-    for arr in (state.z1, state.z2, state.z3, state.lam, state.gamma):
+    for arr in (state.z1, state.z2, state.z3, state.lam, state.scratch.gamma):
         assert not arr.any()
     assert state.iterations == 0
+
+
+def test_gamma_lives_in_the_scratch_not_the_state():
+    """A state carries the four iterates; the equality residual, which every
+    iteration recomputes, is a scratch buffer."""
+    state = cold_start(3, 1, 12)
+    assert "gamma" not in SolverState.__slots__ and not hasattr(state, "gamma")
+    assert "gamma" in Scratch.__slots__ and state.scratch.gamma.shape == (4, 15)
+    with pytest.raises(AttributeError):
+        state.gamma = np.zeros((4, 15))
 
 
 def test_qp1_zero_fixed_point(problem, offline):
@@ -251,21 +262,22 @@ def test_primal_exit_stops_earlier_on_the_same_iterates(problem, offline):
 def test_update_duals(problem, offline):
     rng = np.random.default_rng(5)
     state = random_state(rng, problem)
-    state.gamma = rng.standard_normal(state.gamma.shape)
-    state.gamma[problem.n :, 0] = 0.0
+    gamma = state.scratch.gamma
+    gamma[:] = rng.standard_normal(gamma.shape)
+    gamma[problem.n :, 0] = 0.0
     lam_before = state.lam.copy()
     update_duals(state, problem.rho)
     n, N = problem.n, problem.N
     delta = state.lam - lam_before
-    np.testing.assert_allclose(delta[:n, 0], problem.rho.rho0 * state.gamma[:n, 0], atol=1e-14)
+    np.testing.assert_allclose(delta[:n, 0], problem.rho.rho0 * gamma[:n, 0], atol=1e-14)
     np.testing.assert_allclose(
-        delta[:, 1 : N + 2], problem.rho.rho_hat * state.gamma[:, 1 : N + 2], atol=1e-14
+        delta[:, 1 : N + 2], problem.rho.rho_hat * gamma[:, 1 : N + 2], atol=1e-14
     )
     np.testing.assert_allclose(
-        delta[:, N + 2], problem.rho.rho_s * state.gamma[:, N + 2], atol=1e-14
+        delta[:, N + 2], problem.rho.rho_s * gamma[:, N + 2], atol=1e-14
     )
     assert not state.lam[n:, 0].any()
-    state.gamma[:] = 0.0
+    gamma[:] = 0.0
     lam_before = state.lam.copy()
     update_duals(state, problem.rho)
     assert np.array_equal(state.lam, lam_before)
@@ -280,10 +292,30 @@ def test_eadmm_solve_converges_and_extracts(problem, offline):
     assert result.dual_residual <= problem.config.epsilon
     assert np.array_equal(result.u0, result.z1[problem.n :, 0])
     assert np.array_equal(result.xs_us, result.z2)
-    assert result.metadata["rho_exceeds_bound"] is True
     # box feasibility of the returned trajectory block
     assert np.all(result.z1[:, 1:-1] >= offline.z_lb[:, None])
     assert np.all(result.z1[:, 1:-1] <= offline.z_ub[:, None])
+
+
+def test_eadmm_solve_returns_the_state_it_iterated(problem, offline):
+    """A solve fills the outcome of the state it is given and returns that
+    object; a cold solve returns a new state with its own scratch."""
+    x, r = np.array([0.1, -0.2, 1.0]), np.zeros(problem.n + problem.m)
+    state = cold_start(problem.n, problem.m, problem.N)
+    assert not state.converged and state.u0 is None and math.isnan(state.residual_inf)
+    lam, scratch = state.lam, state.scratch
+    assert eadmm_solve(offline, problem, x, r, initial=state) is state
+    assert state.converged and state.certified and state.iterations > 0
+    assert state.residual_inf <= problem.config.epsilon
+    assert state.dual_residual <= problem.config.epsilon
+    assert np.array_equal(state.u0, state.z1[problem.n :, 0])
+    assert np.array_equal(state.xs_us, state.z2)
+    assert not np.shares_memory(state.u0, state.z1) and state.xs_us is not state.z2
+    assert state.lam is lam and state.scratch is scratch  # updated in place
+    cold = eadmm_solve(offline, problem, x, r)
+    assert isinstance(cold, SolverState) and cold is not state
+    assert cold.scratch is not state.scratch
+    assert cold.u0.tobytes() == state.u0.tobytes() and cold.iterations == state.iterations
 
 
 def test_eadmm_solve_steady_state_fixed_point(problem, offline):
@@ -431,6 +463,14 @@ def reference_dual_residual(z2_prev, z3_prev, ref, rho):
 ITERATES = ("z1", "z2", "z3", "lam", "gamma")
 
 
+def iterate(state, name):
+    """The iterate ``name`` of a solver state or a reference namespace; a
+    solver state keeps gamma in its scratch."""
+    if name == "gamma" and isinstance(state, SolverState):
+        return state.scratch.gamma
+    return getattr(state, name)
+
+
 def assert_steps_match_reference(problem, offline, state, x, r, iterations=200):
     """Step ``state`` through eadmm_solve, one iteration per call, and a copy
     through the reference; compare every iteration."""
@@ -442,7 +482,7 @@ def assert_steps_match_reference(problem, offline, state, x, r, iterations=200):
         result = eadmm_solve(offline, one_step, x, r, initial=state)
         assert result.residual_inf == reference_step(ref, offline, problem.rho, x, ts_r, AB), k
         for name in ITERATES:
-            got, want = getattr(state, name), getattr(ref, name)
+            got, want = iterate(state, name), getattr(ref, name)
             assert got.shape == want.shape and got.tobytes() == want.tobytes(), (name, k)
         dual = dual_residual(*prev, state, problem.rho)
         assert dual == reference_dual_residual(*ref_prev, ref, problem.rho), k
@@ -508,7 +548,8 @@ def test_iterates_bit_identical_to_reference_step(case):
 
 
 # The numpy form of warmstart_predict that the kernel's warm_shift replaced,
-# kept as the reference it must reproduce byte for byte.
+# kept as the reference it must reproduce byte for byte. Its gamma, which
+# warm_shift leaves zero in the shared scratch, is zeros of lambda's shape.
 def reference_warmstart_predict(prev, gain, x_prev, x_next):
     x_prev = np.asarray(x_prev, dtype=float).ravel()
     x_next = np.asarray(x_next, dtype=float).ravel()
@@ -518,7 +559,6 @@ def reference_warmstart_predict(prev, gain, x_prev, x_next):
         z2=prev.z2.copy(),
         z3=prev.z3.copy(),
         lam=prev.lam.copy(),
-        gamma=np.zeros_like(prev.lam),
         scratch=prev.scratch,
     )
     dx = x_next - x_prev
@@ -536,7 +576,8 @@ def test_warm_shift_bit_identical_to_reference(case):
     the same state, and by displacements spread over 16 decades. The cases
     include n = 1, where numpy's ``@`` does not call dgemv, and m > n. The
     new state's iterates share no memory with the previous solution, and
-    it shares the previous solve's scratch."""
+    it shares the previous solve's scratch, whose gamma, filled with noise
+    before each warm start, comes out zero."""
     problem, x, x_next, r = match_cases()[case]
     n = problem.n
     offline = build_offline(problem)
@@ -546,10 +587,12 @@ def test_warm_shift_bit_identical_to_reference(case):
     targets += [x + rng.standard_normal(n) * 10.0 ** rng.integers(-8, 8, n) for _ in range(20)]
     sources = (prev.z1, prev.z2, prev.z3, prev.lam)
     for k, target in enumerate(targets):
+        prev.scratch.gamma[:] = rng.standard_normal(prev.lam.shape)
         got = warmstart_predict(prev, offline.warmstart, x, target)
         want = reference_warmstart_predict(prev, offline.warmstart, x, target)
         for name in ITERATES:
-            a, b = getattr(got, name), getattr(want, name)
+            a = iterate(got, name)
+            b = np.zeros_like(prev.lam) if name == "gamma" else getattr(want, name)
             assert a.shape == b.shape and a.tobytes() == b.tobytes(), (name, k)
             assert not any(np.shares_memory(a, source) for source in sources), (name, k)
         assert got.scratch is prev.scratch and got.iterations == 0
@@ -581,8 +624,8 @@ def test_state_reuse_across_solves_matches_reference_step():
     """Solves that continue one state, or a warm start from it, with new inputs.
 
     Every later solve here changes x and r, the warm start replaces the
-    arrays, one solve runs on a state whose z1, lambda and gamma a caller
-    replaced, and the last one on another problem of the same size (other A,
+    arrays, one solve runs on a state whose z1, lambda and scratch gamma a
+    caller replaced, and the last one on another problem of the same size (other A,
     other penalties). Each must match the reference step byte for byte.
     """
     base = pendulum_problem(N=12)
@@ -605,7 +648,7 @@ def test_state_reuse_across_solves_matches_reference_step():
         assert result.iterations == before + 40 and not result.converged
         assert result.residual_inf == res
         for name in ITERATES:
-            assert getattr(state, name).tobytes() == getattr(ref, name).tobytes(), name
+            assert iterate(state, name).tobytes() == getattr(ref, name).tobytes(), name
         return result
 
     state = cold_start(n, m, N)
@@ -616,14 +659,15 @@ def test_state_reuse_across_solves_matches_reference_step():
     ref = copied(warm)
     solve_and_check(warm, *cases[2], ref)
     solve_and_check(warm, *cases[3], ref)
-    for name in ("z1", "lam", "gamma"):
+    for name in ("z1", "lam"):
         setattr(warm, name, getattr(warm, name).copy())
+    warm.scratch.gamma = warm.scratch.gamma.copy()
     solve_and_check(warm, *cases[4], ref)
     solve_and_check(warm, *cases[5], ref, changed)
 
 
 def copied(state):
-    return SimpleNamespace(**{name: getattr(state, name).copy() for name in ITERATES})
+    return SimpleNamespace(**{name: iterate(state, name).copy() for name in ITERATES})
 
 
 def reference_solve(problem, offline, ref, x, r):
@@ -662,7 +706,7 @@ def assert_solve_matches_reference(problem, offline, state, x, r):
     assert float_bytes(result.dual_residual) == float_bytes(dual)
     assert result.certified == (converged and dual <= problem.config.epsilon)
     for name in ITERATES:
-        assert getattr(state, name).tobytes() == getattr(ref, name).tobytes(), name
+        assert iterate(state, name).tobytes() == getattr(ref, name).tobytes(), name
     return result
 
 
@@ -704,7 +748,7 @@ def test_capped_and_broken_down_solves_match_reference_loop(problem, offline):
         assert str(got.value) == str(want.value), name
         assert state.iterations == int(str(want.value).rsplit(" ", 1)[1])
         for key in ITERATES:
-            np.testing.assert_array_equal(getattr(state, key), getattr(ref, key), err_msg=key)
+            np.testing.assert_array_equal(iterate(state, key), getattr(ref, key), err_msg=key)
 
 
 def test_stage_path_matches_kernel_path(monkeypatch):
@@ -722,20 +766,22 @@ def test_stage_path_matches_kernel_path(monkeypatch):
 
                 monkeypatch.setattr(solver, name, passed)
         outputs = []
+
+        def outcome(state):
+            return (
+                [iterate(state, name).tobytes() for name in ITERATES]
+                + [state.iterations, state.converged, state.certified]
+                + [float_bytes(state.residual_inf), float_bytes(state.dual_residual)]
+            )
+
         for problem, x, x_next, r in match_cases()[:5]:
             offline = build_offline(problem)
             for exit_test in EXIT_TESTS:
                 target = with_config(problem, exit_test=exit_test)
-                cold_state = cold_start(problem.n, problem.m, problem.N)
-                cold = eadmm_solve(offline, target, x, r, initial=cold_state)
-                warm_state = warmstart_predict(cold, offline.warmstart, x, x_next)
-                warm = eadmm_solve(offline, target, x_next, r, initial=warm_state)
-                for state, result in ((cold_state, cold), (warm_state, warm)):
-                    outputs.append(
-                        [getattr(state, name).tobytes() for name in ITERATES]
-                        + [result.iterations, result.converged, result.certified]
-                        + [float_bytes(result.residual_inf), float_bytes(result.dual_residual)]
-                    )
+                cold = eadmm_solve(offline, target, x, r)
+                outputs.append(outcome(cold))
+                warm = warmstart_predict(cold, offline.warmstart, x, x_next)
+                outputs.append(outcome(eadmm_solve(offline, target, x_next, r, initial=warm)))
         assert bool(calls) == traced
         runs.append(outputs)
     assert runs[0] == runs[1]
@@ -811,10 +857,9 @@ def test_warm_starts_from_one_result_share_its_scratch_safely(problem, offline):
     the first result stays intact."""
     x, r = np.array([0.1, -0.2, 1.0]), np.zeros(problem.n + problem.m)
     targets = (np.array([0.12, -0.25, 0.97]), np.array([0.05, -0.1, 1.1]))
-    names = ("z1", "z2", "z3", "lam", "gamma")
 
     def outcome(state, result):
-        return [getattr(state, name).tobytes() for name in names] + [
+        return [iterate(state, name).tobytes() for name in ITERATES] + [
             result.u0.tobytes(), result.xs_us.tobytes(), result.iterations,
             float_bytes(result.residual_inf), float_bytes(result.dual_residual),
         ]
@@ -839,15 +884,15 @@ def test_warm_starts_from_one_result_share_its_scratch_safely(problem, offline):
 
 
 def test_warm_start_from_a_result_without_scratch_is_rejected(problem, offline):
-    """A result built by hand carries no scratch; a state warm-started from
-    it is a DimensionMismatch when solved, not an AttributeError."""
+    """A state built by hand without scratch is a DimensionMismatch, not an
+    AttributeError, both when warm-started from and when solved."""
     x, r = np.array([0.1, -0.2, 1.0]), np.zeros(problem.n + problem.m)
     solved = eadmm_solve(offline, problem, x, r)
     by_hand = replace(solved, scratch=None)
-    state = warmstart_predict(by_hand, offline.warmstart, x, x)
-    assert state.scratch is None
+    with pytest.raises(DimensionMismatch, match="previous state has no scratch"):
+        warmstart_predict(by_hand, offline.warmstart, x, x)
     with pytest.raises(DimensionMismatch, match="initial state has no scratch"):
-        eadmm_solve(offline, problem, x, r, initial=state)
+        eadmm_solve(offline, problem, x, r, initial=by_hand)
 
 
 def test_non_finite_entries_propagate_like_numpy(problem, offline):
@@ -869,7 +914,7 @@ def test_non_finite_entries_propagate_like_numpy(problem, offline):
                 want = reference_step(ref, offline, problem.rho, x, ts_r, AB)
             assert not np.isfinite(want), (name, value)
             for key in ITERATES:
-                np.testing.assert_array_equal(getattr(state, key), getattr(ref, key), err_msg=key)
+                np.testing.assert_array_equal(iterate(state, key), getattr(ref, key), err_msg=key)
     # A NaN in the first term of the dual residual's max() and none in the
     # second: Python's max() keeps the NaN.
     state = random_state(rng, problem)
@@ -970,7 +1015,7 @@ def kernel_calls():
     def recorded(entry, args):
         sc = state.scratch
         known = dict(
-            z1=state.z1, z2=state.z2, z3=state.z3, lam=state.lam, gamma=state.gamma,
+            z1=state.z1, z2=state.z2, z3=state.z3, lam=state.lam, gamma=sc.gamma,
             zsum=sc.zsum, z2_spare=sc.z2, z3_spare=sc.z3, q2=sc.q2, q3=sc.q3, work=sc.work,
             prod=sc.prod, rhs=sc.rhs, x=x, r=r, T=problem.costs.T, S=problem.costs.S, ts_r=ts_r,
             AB=AB, columns=rho.columns, H1_inv=offline.H1_inv, z1_lb=offline.z1_lb, z1_ub=offline.z1_ub, M2=offline.M2,
@@ -1012,7 +1057,7 @@ def kernel_calls():
     named_after("warm_shift", dict(
         prev_z1=state.z1, prev_z2=state.z2, prev_z3=state.z3, prev_lam=state.lam,
         P_z3_head=gain.P_z3_head, P_z2=gain.P_z2, P_lambda_head=gain.P_lambda_head, x_prev=x,
-        x_next=x_next, z1=warm.z1, z2=warm.z2, z3=warm.z3, lam=warm.lam, gamma=warm.gamma,
+        x_next=x_next, z1=warm.z1, z2=warm.z2, z3=warm.z3, lam=warm.lam, gamma=warm.scratch.gamma,
     ))
     named_after("plant_step", dict(next_state=next_state, state=plant_state, u=u))
     operands = solver.solve_operands(state, offline, problem, x, r)
