@@ -242,7 +242,8 @@ def test_integer_fields_take_integral_numbers_only():
     cfg = parse_config(doc)
     assert (cfg.problem.N, cfg.problem.config.max_iter) == (12, 30)
     assert (cfg.sim.steps, cfg.sim.substeps) == (7, 3) and type(cfg.sim.steps) is int
-    for key, bad in (("horizon", 12.7), ("max_iter", True), ("sim.steps", "250"), ("sim.steps", 0)):
+    bad_counts = (("horizon", 12.7), ("max_iter", True), ("sim.steps", "250"), ("sim.steps", 0))
+    for key, bad in bad_counts:
         with pytest.raises(ConfigError) as exc:
             parse_config(with_value(default_pendulum_config(), key, bad))
         assert exc.value.field == key, (key, bad)

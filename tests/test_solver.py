@@ -310,7 +310,8 @@ def test_eadmm_solve_returns_the_state_it_iterated(problem, offline):
     assert state.dual_residual <= problem.config.epsilon
     assert np.array_equal(state.u0, state.z1[problem.n :, 0])
     assert np.array_equal(state.xs_us, state.z2)
-    assert not np.shares_memory(state.u0, state.z1) and state.xs_us is not state.z2
+    assert not np.shares_memory(state.u0, state.z1)
+    assert not np.shares_memory(state.xs_us, state.z2)
     assert state.lam is lam and state.scratch is scratch  # updated in place
     cold = eadmm_solve(offline, problem, x, r)
     assert isinstance(cold, SolverState) and cold is not state
@@ -625,8 +626,9 @@ def test_state_reuse_across_solves_matches_reference_step():
 
     Every later solve here changes x and r, the warm start replaces the
     arrays, one solve runs on a state whose z1, lambda and scratch gamma a
-    caller replaced, and the last one on another problem of the same size (other A,
-    other penalties). Each must match the reference step byte for byte.
+    caller replaced, and the last one on another problem of the same size
+    (other A, other penalties). Each must match the reference step byte for
+    byte.
     """
     base = pendulum_problem(N=12)
     n, m, N = base.n, base.m, base.N
