@@ -61,9 +61,10 @@ static PyObject *DimensionMismatch, *SingularConfiguration;
 /* The operands of the entry points. n states, nm = n + m rows and
    cols = N + 1 columns; every BLAS and LAPACK extent derived from them was
    checked to fit an int by bind(). z2 and z3 are the current iterates and
-   z2_spare and z3_spare their second buffers: solve_qp2 and solve_qp3 write
-   the next iterate into the spare, the two are swapped, and the spare then
-   holds the previous iterate, which the dual residual reads. columns holds
+   z2_spare and z3_spare their second buffers: solve swaps each iterate with
+   its spare before the stage that writes it (solve_qp2, solve_qp3), so the
+   spare then holds the previous iterate, which the dual residual reads.
+   columns holds
    every penalty in the duals' layout: rho0 at [i, 0], rho_hat at [i, j + 1]
    and rho_s at [i, N + 2]. The warm-start shift reads the previous solution
    prev_*, the two measured states and the gain's three blocks; the plant
@@ -314,7 +315,7 @@ stage_qp1(const struct eadmm *e)
     }
 }
 
-/* solve_qp2: z2_spare = M2 q2 with q2 the linear term of the reference
+/* solve_qp2: z2 = M2 q2 with q2 the linear term of the reference
    subproblem, from z1, z3 and lam; work holds rho_hat * (z3 - z1). */
 static void
 stage_qp2(const struct eadmm *e)
@@ -335,7 +336,7 @@ stage_qp2(const struct eadmm *e)
     char t = 'T';
     int bn = (int)nm, one = 1;
     double alpha = 1.0, beta = 0.0;
-    dgemv(&t, &bn, &bn, &alpha, e->M2, &bn, e->q2, &one, &beta, e->z2_spare, &one);
+    dgemv(&t, &bn, &bn, &alpha, e->M2, &bn, e->q2, &one, &beta, e->z2, &one);
 }
 
 /* First half of solve_qp3: q3 from z1, z2 and lam, work = H3_inv * q3, and
@@ -386,7 +387,7 @@ stage_band(const struct eadmm *e)
 }
 
 /* Second half of solve_qp3, after the band solve left mu in rhs:
-   z3_spare = -H3_inv * (q3 + [A B]' mu on columns 0..N-1 - mu on the state
+   z3 = -H3_inv * (q3 + [A B]' mu on columns 0..N-1 - mu on the state
    rows of columns 1..N). */
 static void
 stage_qp3_update(const struct eadmm *e)
@@ -401,7 +402,7 @@ stage_qp3_update(const struct eadmm *e)
     dgemm(&t, &t, &bN, &bnm, &bn, &alpha, e->rhs, &bn, e->AB, &bnm, &beta, e->prod, &bN);
     for (npy_intp i = 0; i < nm; i++) {
         const double *q3 = e->q3 + i * cols, *h3 = e->H3_inv + i * cols, *p = e->prod + i * N;
-        double *z3 = e->z3_spare + i * cols;
+        double *z3 = e->z3 + i * cols;
         for (npy_intp j = 0; j < cols; j++) {
             double q = q3[j];
             if (j < N)
@@ -624,7 +625,7 @@ qp1(PyObject *Py_UNUSED(self), PyObject *const *args, Py_ssize_t nargs)
 static PyObject *
 qp2(PyObject *Py_UNUSED(self), PyObject *const *args, Py_ssize_t nargs)
 {
-    BIND(0, Z1, Z2_SPARE | OUT, Z3, LAM, COLUMNS, TS_R, M2, WORK | OUT, Q2 | OUT);
+    BIND(0, Z1, Z2 | OUT, Z3, LAM, COLUMNS, TS_R, M2, WORK | OUT, Q2 | OUT);
     stage_qp2(&e);
     Py_RETURN_NONE;
 }
@@ -640,7 +641,7 @@ qp3_rhs(PyObject *Py_UNUSED(self), PyObject *const *args, Py_ssize_t nargs)
 static PyObject *
 qp3_update(PyObject *Py_UNUSED(self), PyObject *const *args, Py_ssize_t nargs)
 {
-    BIND(0, Q3, Z3_SPARE | OUT, RHS, PROD | OUT, AB, H3_INV);
+    BIND(0, Q3, Z3 | OUT, RHS, PROD | OUT, AB, H3_INV);
     stage_qp3_update(&e);
     Py_RETURN_NONE;
 }
@@ -691,9 +692,11 @@ enum { CAPPED = 0, CONVERGED = 1, BREAKDOWN = 2 };
    max_iter = 0 only ts_r and zsum are written.
    solve(<its 26 arrays, in the order below>, epsilon, primal_only, max_iter)
    Returns (status, iterations, primal residual, dual residual), the last
-   NaN when no iteration passed the primal test. The current z2 and z3 and
-   their spares trade buffers every iteration, so after an odd number of
-   iterations the final iterates are in the arrays given as the spares. */
+   NaN when no iteration passed the primal test. Every iteration swaps z2
+   and z3 with their spares before the stages that write them, so the
+   spares hold the previous iterates; after an odd number of iterations the
+   last iterates are copied back into the arrays given as z2 and z3, which
+   thus always hold them on return. */
 static PyObject *
 solve(PyObject *Py_UNUSED(self), PyObject *const *args, Py_ssize_t nargs)
 {
@@ -709,6 +712,7 @@ solve(PyObject *Py_UNUSED(self), PyObject *const *args, Py_ssize_t nargs)
 
     stage_weighted_reference(&e);
     npy_intp nm = e.nm, cols = e.cols;
+    double *z2 = e.z2, *z3 = e.z3;
     for (npy_intp i = 0; i < nm; i++)
         for (npy_intp j = 0; j < cols; j++)
             e.zsum[i * cols + j] = e.z2[i] + e.z3[i * cols + j];
@@ -717,14 +721,14 @@ solve(PyObject *Py_UNUSED(self), PyObject *const *args, Py_ssize_t nargs)
     double res = INFINITY, dual = NAN;
     while (k < max_iter) {
         stage_qp1(&e);
-        stage_qp2(&e);
         swap(&e.z2, &e.z2_spare);
+        stage_qp2(&e);
         stage_qp3_rhs(&e);
         int info = stage_band(&e);
         if (info)
             return rejected_band_argument(info);
-        stage_qp3_update(&e);
         swap(&e.z3, &e.z3_spare);
+        stage_qp3_update(&e);
         res = stage_residual(&e);
         stage_duals(&e);
         k++;
@@ -739,6 +743,10 @@ solve(PyObject *Py_UNUSED(self), PyObject *const *args, Py_ssize_t nargs)
                 break;
             }
         }
+    }
+    if (e.z2 != z2) { /* z2 and z3 swap together */
+        memcpy(z2, e.z2, nm * sizeof(double));
+        memcpy(z3, e.z3, nm * cols * sizeof(double));
     }
     return Py_BuildValue("(indd)", status, k, res, dual);
 }

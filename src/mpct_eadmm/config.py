@@ -6,6 +6,7 @@ a field-precise :class:`ConfigError`.
 """
 
 import json
+import sys
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -55,8 +56,9 @@ def _settings(cls, doc, prefix="", renames=None):
 
     Each value is cast to its field's type and checked by ``cls`` on its own,
     so an invalid one raises a :class:`ConfigError` naming its key. An
-    ``int`` field takes 12 or 12.0, not 12.7, inf, NaN or a bool; a null
-    keeps a default of None.
+    ``int`` field takes 12 or 12.0, not 12.7, inf, NaN, a bool or a value
+    beyond the C index range (``sys.maxsize``), which the kernel's loop
+    counts could not hold; a null keeps a default of None.
     """
     kwargs = {}
     for f in fields(cls):
@@ -66,8 +68,8 @@ def _settings(cls, doc, prefix="", renames=None):
             continue
         try:
             integral = type(value) is int or isinstance(value, float) and value.is_integer()
-            if f.type is int and not integral:
-                raise ValueError(f"expected an integer, got {value!r}")
+            if f.type is int and not (integral and abs(value) <= sys.maxsize):
+                raise ValueError(f"expected an integer of magnitude <= {sys.maxsize}, got {value!r}")
             kwargs[f.name] = f.type(value)
             cls(**{f.name: kwargs[f.name]})
         except ConfigError:

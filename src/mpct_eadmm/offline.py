@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import FactorizationFailure, RankDeficientG2
+from .solver import Scratch
 
 # Singular values below RANK_RTOL * sigma_max are treated as zero.
 RANK_RTOL = 1e-10
@@ -176,7 +177,7 @@ def compute_warmstart_gain(costs):
 
 @dataclass
 class OfflineData:
-    """Precomputed solver ingredients, immutable once built.
+    """Precomputed solver ingredients and the solver's work space.
 
     All horizon-indexed data is stored in column-block layout ((n+m) rows,
     one column per prediction step). ``fingerprint`` is the
@@ -185,7 +186,9 @@ class OfflineData:
     ``z1_ub`` of the trajectory block are derived on construction, at build
     and at load, and are neither stored nor serialized. Every array the
     compiled iteration kernel reads (the inverse Hessians, M2, the boxes) is
-    held in C order, built or loaded; ``band`` is in Fortran order.
+    held in C order, built or loaded; ``band`` is in Fortran order. Every
+    solve and warm start on this data writes into its one ``scratch``
+    (:class:`~.solver.Scratch`), which is not counted in :meth:`scalar_count`.
     """
 
     n: int
@@ -209,6 +212,7 @@ class OfflineData:
     band: np.ndarray = field(init=False, repr=False)
     z1_lb: np.ndarray = field(init=False, repr=False)
     z1_ub: np.ndarray = field(init=False, repr=False)
+    scratch: Scratch = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         # The compiled kernel reads these in C order; a loaded artifact
@@ -221,6 +225,7 @@ class OfflineData:
         self.z1_lb[:, 0], self.z1_lb[:, -1] = self.u_only_lb, self.z_lb_s
         self.z1_ub = np.repeat(self.z_ub[:, None], self.N + 1, axis=1)
         self.z1_ub[:, 0], self.z1_ub[:, -1] = self.u_only_ub, self.z_ub_s
+        self.scratch = Scratch(self.n, self.m, self.N)
 
     def scalar_count(self):
         """Number of scalars in the stored representation.

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernel
-from .errors import MissingWarmstartGain, NumericalBreakdown
+from .errors import ConfigError, MissingWarmstartGain, NumericalBreakdown
 from .problem import CostWeights, MpctConfig, SystemModel, build_rho, validate_problem
 from .solver import cold_start, eadmm_solve, warmstart_predict
 
@@ -168,8 +168,9 @@ def closed_loop(
     started, or warmstarted from the previous solution after the first step),
     the first input is unscaled and applied, and the plant is integrated over
     one sample period. A solver breakdown aborts with the partial trajectory.
-    Warmstarting from offline data built without the warmstart gain raises
-    :class:`MissingWarmstartGain` before the first step.
+    Before the first step, warmstarting from offline data built without the
+    warmstart gain raises :class:`MissingWarmstartGain`, and a record too
+    long to allocate :class:`ConfigError` on ``sim.steps``.
     """
     if warmstart and offline.warmstart is None:
         raise MissingWarmstartGain(
@@ -180,13 +181,16 @@ def closed_loop(
         params = PendulumParams()
     n, m = problem.n, problem.m
     steps = sim.steps
-    states = np.zeros((steps + 1, n))
-    inputs = np.zeros((steps, m))
-    refs = np.zeros((steps, n + m))
-    iters = np.zeros(steps, dtype=int)
-    residuals = np.zeros(steps)
-    certified = np.zeros(steps, dtype=bool)
-    wall = np.zeros(steps)
+    try:
+        states = np.zeros((steps + 1, n))
+        inputs = np.zeros((steps, m))
+        refs = np.zeros((steps, n + m))
+        iters = np.zeros(steps, dtype=int)
+        residuals = np.zeros(steps)
+        certified = np.zeros(steps, dtype=bool)
+        wall = np.zeros(steps)
+    except (MemoryError, ValueError):
+        raise ConfigError("sim.steps", f"cannot allocate a trajectory of {steps} steps") from None
     states[0] = np.asarray(x0_physical, dtype=float).ravel()
     reference = np.asarray(reference, dtype=float).ravel()
     prev_result = None
@@ -196,9 +200,7 @@ def closed_loop(
     for k in range(steps):
         x_scaled = scale_state(states[k], sim.scale)
         if warmstart and prev_result is not None:
-            init = warmstart_predict(
-                prev_result, offline.warmstart, x_scaled_prev, x_scaled
-            )
+            init = warmstart_predict(prev_result, offline, x_scaled_prev, x_scaled)
         else:
             init = cold_start(n, m, problem.N)
         t0 = time.perf_counter()

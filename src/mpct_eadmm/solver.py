@@ -2,22 +2,20 @@
 
 All per-iteration work is matrix-free apart from the small dense gain of the
 artificial-reference subproblem and one LAPACK band solve; no horizon-sized
-matrix is ever formed. Horizon-indexed iterates live in
-column-block layout: one (n+m) column per prediction step. A
-:class:`SolverState` holds the four iterates, a :class:`Scratch` of work
-buffers and its last solve's outcome; :func:`eadmm_solve` iterates it in
-place and returns it. :func:`cold_start` is the only place that allocates a
-scratch; a state from :func:`warmstart_predict` shares its predecessor's,
-so a warm chain of solves allocates its work space once.
+matrix is ever formed. Horizon-indexed iterates live in column-block
+layout: one (n+m) column per prediction step. A :class:`SolverState` holds
+the four iterates and its last solve's outcome; :func:`eadmm_solve`
+iterates it in its own arrays and returns it. The work space, a
+:class:`Scratch`, is the offline data's, built once with it.
 
 At these array sizes a numpy call costs more than its arithmetic, so the
 iteration runs in a compiled C kernel (``_kernel.c``, built on first use by
 :mod:`.kernel`). :func:`eadmm_solve` makes one kernel call per solve, on the
 arrays :func:`solve_operands` lists: the reference weighted by the offset
-cost, diag(T, S) r, then stages, exit tests, buffer swaps and the band solve
-all run in C. :func:`warmstart_predict` makes one more. The kernel checks
-every entry point's operands with one binder, and is the package's only
-binding of LAPACK's ``dpbtrs``.
+cost, diag(T, S) r, then stages, exit tests and the band solve all run in
+C. :func:`warmstart_predict` makes one more. The kernel checks every entry
+point's operands with one binder, and is the package's only binding of
+LAPACK's ``dpbtrs``.
 
 Each stage below also stays a Python function with its signature, making
 one kernel call on the same C stage body (:func:`solve_qp3` two, around
@@ -41,47 +39,49 @@ times its stages itself. The kernel keeps these rules:
 - Flags. It is compiled with ``-O2 -ffp-contract=off`` and never with
   value-changing options such as ``-ffast-math``.
 - Memory. It allocates nothing and writes only into the iterates and
-  scratch buffers it is given. Every operand must be a C-contiguous float64
-  array of the shape the call's first operand and its x or [A B] imply
-  (outputs writeable; the band Fortran-contiguous); anything else raises
-  :class:`DimensionMismatch` before any element is read.
+  scratch buffers it is given; the iterates stay in their arrays. Every
+  operand must be a C-contiguous float64 array of the shape the call's
+  first operand and its x or [A B] imply (outputs writeable; the band
+  Fortran-contiguous); anything else raises :class:`DimensionMismatch`
+  before any element is read.
+- Threads. It never releases the GIL, and a solve or a warm start is one
+  kernel call, so threads may solve on one offline data; the stage path,
+  one kernel call per stage, may not.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import kernel
-from .errors import DimensionMismatch, NumericalBreakdown
+from .errors import DimensionMismatch, MissingWarmstartGain, NumericalBreakdown
 
 
 class Scratch:
-    """Buffers that a solve's iterations write into.
+    """Buffers that the iterations write into; ``OfflineData.scratch``.
 
     ``zsum`` is z2 + z3 broadcast over the columns, as the last
     :func:`compute_residual` left it; the next :func:`solve_qp1` reads it.
     ``gamma``, the equality residual in lambda's layout (see
     :class:`SolverState`), is written by :func:`compute_residual` and read
-    by :func:`update_duals`. ``z2``/``z3`` receive the next iterates
-    of :func:`solve_qp2` and :func:`solve_qp3`, which then swap them with
-    the state's, so the previous iterates stay readable for
-    :func:`dual_residual`. The rest is work space reused across the stages:
-    ``q2`` the linear term of the reference subproblem, ``q3`` and ``work``
-    (shape of z3) the deviation subproblem's, ``prod`` the (n+m) x N
-    products with [A B] and its transpose, ``rhs`` the band solve's
-    right-hand side in ``dpbtrs``'s layout (block j in entries j*n to
-    (j+1)*n - 1), which the solve overwrites with its solution, and
+    by :func:`update_duals`. ``z2``/``z3`` are the previous iterates, which
+    :func:`dual_residual` reads: each iteration copies the state's there
+    before the stages overwrite them (the kernel trades pointers and copies
+    the last iterates back). The rest is work space reused across the
+    stages: ``q2`` the linear term of the reference subproblem, ``q3`` and
+    ``work`` (shape of z3) the deviation subproblem's, ``prod`` the
+    (n+m) x N products with [A B] and its transpose, ``rhs`` the band
+    solve's right-hand side in ``dpbtrs``'s layout (block j in entries j*n
+    to (j+1)*n - 1), which the solve overwrites with its solution, and
     ``ts_r`` the solve's diag(T, S) r.
 
-    A scratch holds no state between solves: :func:`eadmm_solve` writes
-    ``ts_r`` and ``zsum`` on entry, and the iterations write every other
-    buffer before they read it. gamma's padding is zero from construction
-    and no stage writes it; :func:`warmstart_predict`, which uses gamma as
-    temporary space, zeroes all of gamma after. A solve only trades its own
-    state's z2 and z3 with the spare ones here, so the spares are never any
-    state's current iterates, and states that share a scratch keep their
-    arrays intact.
+    A scratch holds no state between solves: :func:`eadmm_solve`
+    writes ``ts_r`` and ``zsum`` on entry, and the iterations write every
+    other buffer before they read it. gamma's padding is zero from
+    construction and no stage writes it; :func:`warmstart_predict`, which
+    uses gamma as temporary space, zeroes all of gamma after. So states
+    solved on one offline data, in any order, never see each other.
     """
 
     __slots__ = ("zsum", "gamma", "z2", "z3", "q2", "q3", "work", "prod", "rhs", "ts_r")
@@ -102,7 +102,7 @@ class Scratch:
 
 @dataclass(slots=True)
 class SolverState:
-    """Iterates of the three-block splitting, their scratch, and the outcome.
+    """Iterates of the three-block splitting and the outcome of their last solve.
 
     z1: trajectory block, column j holds (x_j, u_j).
     z2: artificial reference (xs, us).
@@ -110,10 +110,8 @@ class SolverState:
     lam: duals; column 0 is the initial-state constraint (last m entries are
     structural padding and stay zero), columns 1..N+1 the congruence
     constraints, column N+2 the terminal equalities.
-    scratch: see :class:`Scratch`; states of one warm chain share it. Its
-    ``zsum`` must equal z2 + z3 when :func:`solve_qp1` runs;
-    :func:`eadmm_solve` sets it on entry and every iteration keeps it.
     iterations: iterations run on this state, over all its solves.
+    A solve writes the four arrays in place; they are never replaced.
 
     The other fields are what the state's last :func:`eadmm_solve`
     reported (their defaults before any). ``converged`` says the configured
@@ -133,7 +131,6 @@ class SolverState:
     z2: np.ndarray
     z3: np.ndarray
     lam: np.ndarray
-    scratch: Scratch = field(repr=False)
     iterations: int = 0
     residual_inf: float = math.nan
     converged: bool = False
@@ -144,14 +141,13 @@ class SolverState:
 
 
 def cold_start(n, m, N):
-    """All-zero iterates for the given dimensions, with a new :class:`Scratch`."""
+    """All-zero iterates for the given dimensions; nothing else is allocated."""
     nm = n + m
     return SolverState(
         z1=np.zeros((nm, N + 1)),
         z2=np.zeros(nm),
         z3=np.zeros((nm, N + 1)),
         lam=np.zeros((nm, N + 3)),
-        scratch=Scratch(n, m, N),
     )
 
 
@@ -159,13 +155,13 @@ def solve_qp1(state, offline, rho, x):
     """Update the trajectory block: componentwise clip of the diagonal QP optimum.
 
     The negated linear term is assembled columnwise from the congruence
-    penalties (on ``scratch.zsum``), the initial-state penalty (first
-    column) and the terminal penalties (last column), scaled by the diagonal
-    inverse Hessian and clipped against the per-stage boxes into z1; no
-    matrix products are involved.
+    penalties (on the offline data's ``scratch.zsum``), the initial-state
+    penalty (first column) and the terminal penalties (last column), scaled
+    by the diagonal inverse Hessian and clipped against the per-stage boxes
+    into z1; no matrix products are involved.
     """
     kernel.load().qp1(
-        state.z1, state.scratch.zsum, state.lam, state.z2, x,
+        state.z1, offline.scratch.zsum, state.lam, state.z2, x,
         rho.columns, offline.H1_inv, offline.z1_lb, offline.z1_ub,
     )
     return state.z1
@@ -176,13 +172,11 @@ def solve_qp2(state, offline, rho, ts_r):
 
     ``ts_r`` is the reference weighted by the offset cost, diag(T, S) r.
     """
-    sc = state.scratch
-    z2 = sc.z2
+    sc = offline.scratch
     kernel.load().qp2(
-        state.z1, z2, state.z3, state.lam, rho.columns, ts_r, offline.M2, sc.work, sc.q2
+        state.z1, state.z2, state.z3, state.lam, rho.columns, ts_r, offline.M2, sc.work, sc.q2
     )
-    sc.z2, state.z2 = state.z2, z2
-    return z2
+    return state.z2
 
 
 def banded_forward_backward(band, c):
@@ -207,16 +201,14 @@ def solve_qp3(state, offline, rho, AB):
     :func:`banded_forward_backward` solves it in place, and the kernel
     recovers z3 from the solution.
     """
-    k, sc = kernel.load(), state.scratch
+    k, sc = kernel.load(), offline.scratch
     k.qp3_rhs(
         state.z1, sc.rhs, sc.q3, sc.work, sc.prod, state.z2, state.lam, rho.columns,
         offline.H3_inv, AB,
     )
     banded_forward_backward(offline.band, sc.rhs)
-    z3 = sc.z3
-    k.qp3_update(sc.q3, z3, sc.rhs, sc.prod, AB, offline.H3_inv)
-    sc.z3, state.z3 = state.z3, z3
-    return z3
+    k.qp3_update(sc.q3, state.z3, sc.rhs, sc.prod, AB, offline.H3_inv)
+    return state.z3
 
 
 def compute_residual(state, offline, x):
@@ -225,12 +217,12 @@ def compute_residual(state, offline, x):
     The residual goes to ``scratch.gamma``, whose padding it leaves zero,
     and z2 + z3 to ``scratch.zsum`` for the next :func:`solve_qp1`.
     """
-    g = state.scratch.gamma
-    res = kernel.load().residual(state.z1, g, state.scratch.zsum, state.z2, state.z3, x)
-    return g, res
+    sc = offline.scratch
+    res = kernel.load().residual(state.z1, sc.gamma, sc.zsum, state.z2, state.z3, x)
+    return sc.gamma, res
 
 
-def dual_residual(z2_prev, z3_prev, state, rho):
+def dual_residual(z2_prev, z3_prev, state, offline, rho):
     """Dual (stationarity) residual of blocks 1 and 2 over one iteration.
 
     With D = A2 dz2 + A3 dz3 the change of the later blocks' contribution to
@@ -238,16 +230,16 @@ def dual_residual(z2_prev, z3_prev, state, rho):
     block 2 by A2' rho A3 dz3 (Boyd et al. 2011, section 3.3, with three
     blocks); block 3 is exactly stationary after the dual update. Both are
     assembled columnwise from the iterate change and the penalties, in the
-    state's scratch buffers. Returns the larger inf-norm.
+    offline data's scratch buffers. Returns the larger inf-norm.
     """
     return kernel.load().dual_residual(
-        state.z3, z3_prev, state.z2, z2_prev, rho.columns, state.scratch.work
+        state.z3, z3_prev, state.z2, z2_prev, rho.columns, offline.scratch.work
     )
 
 
-def update_duals(state, rho):
+def update_duals(state, offline, rho):
     """Dual ascent on ``scratch.gamma`` with the componentwise penalty, in place."""
-    kernel.load().duals(state.lam, rho.columns, state.scratch.gamma)
+    kernel.load().duals(state.lam, rho.columns, offline.scratch.gamma)
     return state.lam
 
 
@@ -272,22 +264,22 @@ def _stage_loop(state, offline, problem, x, r, eps, primal_only, max_iter):
     Returns (status, primal residual, dual residual).
     """
     _kernel_loop(state, offline, problem, x, r, eps, primal_only, 0)
-    rho, ts_r, AB = problem.rho, state.scratch.ts_r, problem.model.AB
+    sc, rho, AB = offline.scratch, problem.rho, problem.model.AB
     res, dual = math.inf, math.nan
     for _ in range(max_iter):
-        # solve_qp2 and solve_qp3 swap z2 and z3 with their scratch buffers,
-        # so these stay the old iterates until the next iteration.
-        z2_prev, z3_prev = state.z2, state.z3
+        # The previous z2 and z3, which the stages overwrite in place.
+        np.copyto(sc.z2, state.z2)
+        np.copyto(sc.z3, state.z3)
         solve_qp1(state, offline, rho, x)
-        solve_qp2(state, offline, rho, ts_r)
+        solve_qp2(state, offline, rho, sc.ts_r)
         solve_qp3(state, offline, rho, AB)
         _, res = compute_residual(state, offline, x)
-        update_duals(state, rho)
+        update_duals(state, offline, rho)
         state.iterations += 1
         if not math.isfinite(res):
             return BREAKDOWN, res, dual
         if res <= eps:
-            dual = dual_residual(z2_prev, z3_prev, state, rho)
+            dual = dual_residual(sc.z2, sc.z3, state, offline, rho)
             if primal_only or dual <= eps:
                 return CONVERGED, res, dual
     return CAPPED, res, dual
@@ -295,7 +287,7 @@ def _stage_loop(state, offline, problem, x, r, eps, primal_only, max_iter):
 
 def solve_operands(state, offline, problem, x, r):
     """The arrays of the kernel's ``solve``, in its argument order."""
-    sc, costs = state.scratch, problem.costs
+    sc, costs = offline.scratch, problem.costs
     return (
         state.z1, state.z2, state.z3, state.lam, sc.gamma, sc.zsum, sc.z2, sc.z3, sc.q2,
         sc.q3, sc.work, sc.prod, sc.rhs, sc.ts_r, x, r, costs.T, costs.S, problem.model.AB,
@@ -308,11 +300,7 @@ def _kernel_loop(state, offline, problem, x, r, eps, primal_only, max_iter):
     """The iterations of :func:`_stage_loop` in one kernel call, bit for bit."""
     operands = solve_operands(state, offline, problem, x, r)
     status, iterations, res, dual = kernel.load().solve(*operands, eps, primal_only, max_iter)
-    sc = state.scratch
     state.iterations += iterations
-    if iterations % 2:  # z2 and z3 traded buffers with the scratch's each time
-        state.z2, sc.z2 = sc.z2, state.z2
-        state.z3, sc.z3 = sc.z3, state.z3
     return status, res, dual
 
 
@@ -329,19 +317,19 @@ def eadmm_solve(offline, problem, x, r, initial=None):
 
     The iterations run in one kernel call, or through the stage functions
     when one of them was replaced (see the module docstring); both write
-    into the state's scratch buffers and allocate no array storage. The
-    kernel forms diag(T, S) r in ``scratch.ts_r`` first; a reference whose
-    weighted form is not finite breaks down at the first iteration.
+    into the state's arrays and the offline data's scratch buffers and
+    allocate no array storage. The kernel forms diag(T, S) r in
+    ``scratch.ts_r`` first; a reference whose weighted form is not finite
+    breaks down at the first iteration.
 
     Returns ``initial``, or a new :func:`cold_start` state, with its outcome
     fields filled; non-convergence is reported through the ``converged``
     flag, not an exception. Offline data, an initial state or vectors whose
     dimensions do not match the problem raise :class:`DimensionMismatch`,
-    as do initial-state arrays that are not C-contiguous float64 and a
-    state without scratch; a non-finite residual aborts with
-    :class:`NumericalBreakdown` once the outcome is filled. If the compiled
-    kernel has to be built and cannot be, the first solve raises
-    :class:`KernelBuildFailure`.
+    as do initial-state arrays that are not C-contiguous float64; a
+    non-finite residual aborts with :class:`NumericalBreakdown` once the
+    outcome is filled. If the compiled kernel has to be built and cannot
+    be, the first solve raises :class:`KernelBuildFailure`.
     """
     n, m, N = problem.n, problem.m, problem.N
     nm = n + m
@@ -361,8 +349,6 @@ def eadmm_solve(offline, problem, x, r, initial=None):
     shapes = [a.shape for a in (state.z1, state.z2, state.z3, state.lam)]
     if shapes != [(nm, N + 1), (nm,), (nm, N + 1), (nm, N + 3)]:
         raise DimensionMismatch(f"initial state shapes {shapes} do not fit {(n, m, N)}")
-    if state.scratch is None:
-        raise DimensionMismatch("initial state has no scratch buffers")
     loop = _kernel_loop if _stage_functions() == KERNEL_STAGES else _stage_loop
     primal_only = config.exit_test == "primal"
     status, res, dual = loop(
@@ -382,7 +368,7 @@ def eadmm_solve(offline, problem, x, r, initial=None):
 KERNEL_STAGES = _stage_functions()
 
 
-def warmstart_predict(prev, gain, x_prev, x_next):
+def warmstart_predict(prev, offline, x_prev, x_next):
     """First-order shift of the previous solution for a new measured state.
 
     Only the artificial reference, the leading state block of the deviation
@@ -390,24 +376,27 @@ def warmstart_predict(prev, gain, x_prev, x_next):
     block is left untouched since the first iteration overwrites it.
 
     Returns a new :class:`SolverState` whose iterates share no memory with
-    ``prev``, and which shares ``prev.scratch``, the work space of the solve
-    that gave ``prev``: no :class:`Scratch` is allocated along a warm chain,
-    and solving the new state leaves ``prev``'s arrays intact. One kernel
-    call fills the iterates: it copies prev's z1, z2, z3 and lambda and
-    subtracts the gain's four products with x_next - x_prev, each the BLAS
-    call numpy's ``@`` makes, using the scratch's gamma as temporary space
-    and zeroing it after. The previous solution's arrays and the gain's
-    blocks must be C-contiguous float64 arrays whose shapes fit each other,
-    the states must have n entries, and ``prev`` must have a scratch;
+    ``prev``, so solving it leaves ``prev``'s arrays intact. One kernel call
+    fills the iterates: it copies prev's z1, z2, z3 and lambda and subtracts
+    the four products of ``offline.warmstart``, the gain, with
+    x_next - x_prev, each the BLAS call numpy's ``@`` makes, using the
+    offline data's scratch gamma as temporary space and zeroing it after.
+    Offline data built without the gain raises
+    :class:`MissingWarmstartGain`. The previous solution's arrays and the
+    gain's blocks must be C-contiguous float64 arrays whose shapes fit each
+    other and the offline data, and the states must have n entries;
     anything else raises :class:`DimensionMismatch`.
     """
-    if prev.scratch is None:
-        raise DimensionMismatch("previous state has no scratch buffers")
+    gain = offline.warmstart
+    if gain is None:
+        raise MissingWarmstartGain(
+            "a warm start needs the warmstart gain, but the offline data was built without it"
+        )
     x_prev = np.asarray(x_prev, dtype=float).ravel()
     x_next = np.asarray(x_next, dtype=float).ravel()
     z1, z2, z3, lam = (np.empty(a.shape) for a in (prev.z1, prev.z2, prev.z3, prev.lam))
     kernel.load().warm_shift(
         prev.z1, prev.z2, prev.z3, prev.lam, gain.P_z3_head, gain.P_z2, gain.P_lambda_head,
-        x_prev, x_next, z1, z2, z3, lam, prev.scratch.gamma,
+        x_prev, x_next, z1, z2, z3, lam, offline.scratch.gamma,
     )
-    return SolverState(z1=z1, z2=z2, z3=z3, lam=lam, scratch=prev.scratch)
+    return SolverState(z1=z1, z2=z2, z3=z3, lam=lam)

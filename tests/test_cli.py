@@ -6,7 +6,7 @@ import warnings
 
 import numpy as np
 import pytest
-from test_config import bad_numbers, with_value
+from test_config import bad_numbers, huge_integers, with_value
 
 from mpct_eadmm import cli
 from mpct_eadmm.artifact import save_offline
@@ -283,6 +283,23 @@ def test_non_finite_or_fractional_numbers_exit_code(tmp_path, capsys, key, value
         captured = capsys.readouterr()
         assert f"config error: {key}: " in captured.err, (command, captured.err)
         assert "Traceback" not in captured.err and captured.out == "", command
+
+
+@pytest.mark.parametrize(
+    "key, value, commands",
+    [(key, value, ("solve", "simulate")) for key, value in huge_integers()]
+    + [("sim.steps", 2**59, ("simulate",))],
+)
+def test_integers_beyond_the_index_range_exit_code(tmp_path, capsys, key, value, commands):
+    """A count beyond the C index range, or a simulation too long to
+    allocate (2**59 steps: more bytes than an address space holds), exits 1
+    with a one-line config error naming the key and no traceback."""
+    path = write_config(tmp_path, lambda d: with_value(d, key, value))
+    for command in commands:
+        assert cli.main([command, "--config", path]) == 1, command
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"config error: {key}: "), (command, captured.err)
+        assert captured.err.count("\n") == 1 and captured.out == "", command
 
 
 def test_output_must_be_a_file_name(tmp_path, capsys):

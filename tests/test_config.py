@@ -1,6 +1,7 @@
 """JSON run-configuration parsing tests."""
 
 import json
+import sys
 from dataclasses import fields
 
 import numpy as np
@@ -232,6 +233,37 @@ def test_non_finite_or_fractional_numbers_report_their_key(key, value):
     with pytest.raises(ConfigError) as exc:
         parse_config(json.loads(json.dumps(doc)))
     assert exc.value.field == key, str(exc.value)
+
+
+def integer_keys():
+    """The dotted keys of every integer field of the solver and simulation settings."""
+    keys = [("horizon" if f.name == "N" else f.name, f.type) for f in fields(MpctConfig)]
+    keys += [("sim." + f.name, f.type) for f in fields(SimConfig)]
+    return [key for key, kind in keys if kind is int]
+
+
+def huge_integers():
+    """(key, value): every integer field with integral numbers beyond the C
+    index range, as a float and as an int."""
+    return [(key, value) for key in integer_keys() for value in (1e20, 2**63, -(2**63) - 1)]
+
+
+@pytest.mark.parametrize("key, value", huge_integers())
+def test_integers_beyond_the_index_range_report_their_key(key, value):
+    """A count the kernel's Py_ssize_t loop counters cannot hold is a config
+    error on its own key, not an OverflowError later or an error on another key."""
+    doc = with_value(default_pendulum_config(), key, value)
+    with pytest.raises(ConfigError, match="magnitude") as exc:
+        parse_config(json.loads(json.dumps(doc)))
+    assert exc.value.field == key, str(exc.value)
+
+
+def test_integers_up_to_the_index_range_are_accepted():
+    """sys.maxsize itself is a valid cap and substep count; parsing takes it."""
+    doc = default_pendulum_config()
+    doc["max_iter"], doc["sim"]["substeps"] = sys.maxsize, float(2**62)
+    cfg = parse_config(doc)
+    assert cfg.problem.config.max_iter == sys.maxsize and cfg.sim.substeps == 2**62
 
 
 def test_integer_fields_take_integral_numbers_only():

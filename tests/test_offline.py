@@ -17,7 +17,7 @@ from mpct_eadmm.offline import (
     factor_block_tridiagonal,
 )
 from mpct_eadmm.problem import CostWeights, PenaltyParams, SystemModel
-from mpct_eadmm.solver import Scratch, SolverState, warmstart_predict
+from mpct_eadmm.solver import SolverState, warmstart_predict
 from mpct_eadmm.pendulum import pendulum_problem
 
 
@@ -278,13 +278,12 @@ def test_warmstart_reduced_matches_full(problem, offline, oracle_gain):
     """The reduced-row update reproduces the full-gain update."""
     n, m, N = problem.n, problem.m, problem.N
     nm, nz = n + m, (N + 1) * (n + m)
-    gain = offline.warmstart
     full, _, off_support = oracle_gain(problem.model, problem.costs, problem.rho, N)
     rng = np.random.default_rng(5)
     prev = _random_result(rng, n, m, N)
     for _ in range(100):
         dx = rng.standard_normal(n)
-        state = warmstart_predict(prev, gain, np.zeros(n), dx)
+        state = warmstart_predict(prev, offline, np.zeros(n), dx)
         z2_full = prev.z2 - full[nz : nz + nm] @ dx
         z3_full = prev.z3.flatten(order="F") - full[nz + nm : 2 * nz + nm] @ dx
         lam_full = dense.pack_duals(prev.lam, n, m, N) - full[2 * nz + nm :] @ dx
@@ -306,7 +305,6 @@ def _random_result(rng, n, m, N):
         z2=rng.standard_normal(nm),
         z3=rng.standard_normal((nm, N + 1)),
         lam=lam,
-        scratch=Scratch(n, m, N),
         iterations=1,
         residual_inf=0.0,
         converged=True,
@@ -318,7 +316,7 @@ def _random_result(rng, n, m, N):
 def test_warmstart_zero_displacement(problem, offline):
     rng = np.random.default_rng(9)
     prev = _random_result(rng, problem.n, problem.m, problem.N)
-    state = warmstart_predict(prev, offline.warmstart, np.ones(3), np.ones(3))
+    state = warmstart_predict(prev, offline, np.ones(3), np.ones(3))
     assert np.array_equal(state.z1, prev.z1)
     assert np.array_equal(state.z2, prev.z2)
     assert np.array_equal(state.z3, prev.z3)

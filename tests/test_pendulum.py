@@ -8,7 +8,12 @@ import pytest
 from test_solver import reference_warmstart_predict
 
 from mpct_eadmm import pendulum
-from mpct_eadmm.errors import DimensionMismatch, MissingWarmstartGain, SingularConfiguration
+from mpct_eadmm.errors import (
+    ConfigError,
+    DimensionMismatch,
+    MissingWarmstartGain,
+    SingularConfiguration,
+)
 from mpct_eadmm.offline import build_offline
 from mpct_eadmm.pendulum import (
     PENDULUM_A,
@@ -272,10 +277,10 @@ def test_warm_loop_results_outlive_the_shared_scratch(
 
     The solve is wrapped the way a step recorder wraps it: every (x, result)
     is kept, with copies of its arrays and its outcome taken at the time.
-    Each result is the state the loop passed in. After 50 warm steps every
-    kept result equals its copies byte for byte, every step's state shares
-    the first step's scratch, and no result array shares memory with a
-    scratch buffer.
+    Each result is the state the loop passed in. After 50 warm steps, all
+    solved on the offline data's one scratch, every kept result equals its
+    copies byte for byte, and no result array shares memory with a scratch
+    buffer.
     """
     kept = []
 
@@ -291,12 +296,10 @@ def test_warm_loop_results_outlive_the_shared_scratch(
     sim = SimConfig(steps=50)
     trajectory = closed_loop(problem, offline, sim, benchmark_x0, zero_ref, warmstart=True)
     assert len(kept) == 50 and not trajectory.aborted
-    scratch = kept[0][2].scratch
-    buffers = [getattr(scratch, name) for name in Scratch.__slots__]
+    buffers = [getattr(offline.scratch, name) for name in Scratch.__slots__]
     odd = 0
     for k, (x, x_copy, result, copies, outcome) in enumerate(kept):
         assert x.tobytes() == x_copy.tobytes(), k
-        assert result.scratch is scratch, k
         for name, copy in copies.items():
             array = getattr(result, name)
             assert array.tobytes() == copy.tobytes(), (k, name)
@@ -330,6 +333,14 @@ def test_warmstart_without_gain_is_a_typed_error(problem):
         closed_loop(problem, data, SimConfig(steps=3), np.zeros(3), np.zeros(4), warmstart=True)
     traj = closed_loop(problem, data, SimConfig(steps=3), np.zeros(3), np.zeros(4))
     assert len(traj.inputs) == 3 and not traj.aborted
+
+
+def test_unallocatable_trajectory_is_a_config_error(problem, offline):
+    """A simulation of 2**59 steps, whose record no address space holds, is
+    a ConfigError on sim.steps before any step, not numpy's ValueError."""
+    with pytest.raises(ConfigError, match="cannot allocate") as exc:
+        closed_loop(problem, offline, SimConfig(steps=2**59), np.zeros(3), np.zeros(4))
+    assert exc.value.field == "sim.steps"
 
 
 def test_pendulum_problem_bounds():

@@ -2,6 +2,8 @@
 
 import functools
 import math
+import sys
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 from types import SimpleNamespace
 
@@ -10,7 +12,7 @@ import pytest
 from scipy.linalg.lapack import dpbtrs
 
 from mpct_eadmm import dense, kernel, solver
-from mpct_eadmm.errors import DimensionMismatch, NumericalBreakdown
+from mpct_eadmm.errors import DimensionMismatch, MissingWarmstartGain, NumericalBreakdown
 from mpct_eadmm.solver import (
     Scratch,
     SolverState,
@@ -37,14 +39,14 @@ from mpct_eadmm.problem import (
 )
 
 
-def random_state(rng, problem):
+def random_state(rng, problem, offline):
     state = cold_start(problem.n, problem.m, problem.N)
     state.z1 = rng.standard_normal(state.z1.shape)
     state.z2 = rng.standard_normal(state.z2.shape)
     state.z3 = rng.standard_normal(state.z3.shape)
     state.lam = rng.standard_normal(state.lam.shape)
     state.lam[problem.n :, 0] = 0.0
-    state.scratch.zsum[:] = state.z2[:, None] + state.z3
+    offline.scratch.zsum[:] = state.z2[:, None] + state.z3
     return state
 
 
@@ -56,17 +58,19 @@ def dense_problem(problem, x, r):
 
 def test_cold_start_all_zero():
     state = cold_start(3, 1, 12)
-    for arr in (state.z1, state.z2, state.z3, state.lam, state.scratch.gamma):
+    for arr in (state.z1, state.z2, state.z3, state.lam):
         assert not arr.any()
     assert state.iterations == 0
 
 
-def test_gamma_lives_in_the_scratch_not_the_state():
+def test_gamma_lives_in_the_scratch_not_the_state(offline):
     """A state carries the four iterates; the equality residual, which every
-    iteration recomputes, is a scratch buffer."""
+    iteration recomputes, is a buffer of the offline data's scratch, and a
+    state has no scratch."""
     state = cold_start(3, 1, 12)
-    assert "gamma" not in SolverState.__slots__ and not hasattr(state, "gamma")
-    assert "gamma" in Scratch.__slots__ and state.scratch.gamma.shape == (4, 15)
+    for name in ("gamma", "scratch"):
+        assert name not in SolverState.__slots__ and not hasattr(state, name)
+    assert "gamma" in Scratch.__slots__ and offline.scratch.gamma.shape == (4, 15)
     with pytest.raises(AttributeError):
         state.gamma = np.zeros((4, 15))
 
@@ -99,7 +103,7 @@ def test_qp1_tiny_instance_first_column():
 
 def test_qp1_saturates_at_bounds(problem, offline):
     rng = np.random.default_rng(0)
-    state = random_state(rng, problem)
+    state = random_state(rng, problem, offline)
     state.lam *= 1e6  # push the unconstrained optimum far outside the boxes
     solve_qp1(state, offline, problem.rho, np.zeros(problem.n))
     assert np.all(state.z1[:, 1:-1] >= offline.z_lb[:, None] - 0.0)
@@ -122,7 +126,7 @@ def test_qp2_matches_dense_minimizer(problem, offline):
     ts_r = np.zeros(problem.n + problem.m)
     worst_dev = worst_sub = 0.0
     for _ in range(100):
-        state = random_state(rng, problem)
+        state = random_state(rng, problem, offline)
         solve_qp2(state, offline, problem.rho, ts_r)
         z1 = state.z1.flatten(order="F")
         z3 = state.z3.flatten(order="F")
@@ -151,7 +155,7 @@ def test_qp3_matches_dense_kkt(problem, offline):
     AB = np.hstack([problem.model.A, problem.model.B])
     worst_dev = worst_feas = 0.0
     for _ in range(100):
-        state = random_state(rng, problem)
+        state = random_state(rng, problem, offline)
         solve_qp3(state, offline, problem.rho, AB)
         z1 = state.z1.flatten(order="F")
         lam = dense.pack_duals(state.lam, problem.n, problem.m, problem.N)
@@ -191,7 +195,7 @@ def test_residual_matches_dense(problem, offline):
     x = rng.standard_normal(problem.n)
     dp = dense_problem(problem, x, np.zeros(problem.n + problem.m))
     for _ in range(20):
-        state = random_state(rng, problem)
+        state = random_state(rng, problem, offline)
         gamma, res = compute_residual(state, offline, x)
         z1 = state.z1.flatten(order="F")
         z3 = state.z3.flatten(order="F")
@@ -216,7 +220,7 @@ def test_residual_zero_cases(problem, offline):
     assert res <= 1e-15
 
 
-def test_dual_residual_matches_dense(problem):
+def test_dual_residual_matches_dense(problem, offline):
     rng = np.random.default_rng(8)
     n, m, N = problem.n, problem.m, problem.N
     x = rng.uniform(-0.3, 0.3, n)
@@ -236,7 +240,7 @@ def test_dual_residual_matches_dense(problem):
             state.z2 = nxt.z2
             state.z3 = np.ascontiguousarray(nxt.z3.reshape(n + m, N + 1, order="F"))
             prev_z3 = np.ascontiguousarray(it.z3.reshape(n + m, N + 1, order="F"))
-            got = dual_residual(it.z2, prev_z3, state, problem.rho)
+            got = dual_residual(it.z2, prev_z3, state, offline, problem.rho)
             assert ref > 0.0
             assert abs(got - ref) <= 1e-10
         it = nxt
@@ -261,12 +265,12 @@ def test_primal_exit_stops_earlier_on_the_same_iterates(problem, offline):
 
 def test_update_duals(problem, offline):
     rng = np.random.default_rng(5)
-    state = random_state(rng, problem)
-    gamma = state.scratch.gamma
+    state = random_state(rng, problem, offline)
+    gamma = offline.scratch.gamma
     gamma[:] = rng.standard_normal(gamma.shape)
     gamma[problem.n :, 0] = 0.0
     lam_before = state.lam.copy()
-    update_duals(state, problem.rho)
+    update_duals(state, offline, problem.rho)
     n, N = problem.n, problem.N
     delta = state.lam - lam_before
     np.testing.assert_allclose(delta[:n, 0], problem.rho.rho0 * gamma[:n, 0], atol=1e-14)
@@ -279,7 +283,7 @@ def test_update_duals(problem, offline):
     assert not state.lam[n:, 0].any()
     gamma[:] = 0.0
     lam_before = state.lam.copy()
-    update_duals(state, problem.rho)
+    update_duals(state, offline, problem.rho)
     assert np.array_equal(state.lam, lam_before)
 
 
@@ -299,11 +303,11 @@ def test_eadmm_solve_converges_and_extracts(problem, offline):
 
 def test_eadmm_solve_returns_the_state_it_iterated(problem, offline):
     """A solve fills the outcome of the state it is given and returns that
-    object; a cold solve returns a new state with its own scratch."""
+    object, in its own arrays; a cold solve returns a new state."""
     x, r = np.array([0.1, -0.2, 1.0]), np.zeros(problem.n + problem.m)
     state = cold_start(problem.n, problem.m, problem.N)
     assert not state.converged and state.u0 is None and math.isnan(state.residual_inf)
-    lam, scratch = state.lam, state.scratch
+    arrays = (state.z1, state.z2, state.z3, state.lam)
     assert eadmm_solve(offline, problem, x, r, initial=state) is state
     assert state.converged and state.certified and state.iterations > 0
     assert state.residual_inf <= problem.config.epsilon
@@ -312,10 +316,10 @@ def test_eadmm_solve_returns_the_state_it_iterated(problem, offline):
     assert np.array_equal(state.xs_us, state.z2)
     assert not np.shares_memory(state.u0, state.z1)
     assert not np.shares_memory(state.xs_us, state.z2)
-    assert state.lam is lam and state.scratch is scratch  # updated in place
+    assert (state.z1, state.z2, state.z3, state.lam) == arrays  # updated in place
     cold = eadmm_solve(offline, problem, x, r)
     assert isinstance(cold, SolverState) and cold is not state
-    assert cold.scratch is not state.scratch
+    assert not any(np.shares_memory(a, b) for a, b in zip((cold.z1, cold.z2), arrays))
     assert cold.u0.tobytes() == state.u0.tobytes() and cold.iterations == state.iterations
 
 
@@ -383,7 +387,7 @@ def kernel_ts_r(problem, offline, r):
     state = cold_start(problem.n, problem.m, problem.N)
     operands = solver.solve_operands(state, offline, problem, np.zeros(problem.n), r)
     assert kernel.load().solve(*operands, 1e-4, False, 0)[:2] == (solver.CAPPED, 0)
-    return state.scratch.ts_r
+    return offline.scratch.ts_r
 
 
 @pytest.mark.parametrize("case", range(9))
@@ -464,11 +468,11 @@ def reference_dual_residual(z2_prev, z3_prev, ref, rho):
 ITERATES = ("z1", "z2", "z3", "lam", "gamma")
 
 
-def iterate(state, name):
+def iterate(state, offline, name):
     """The iterate ``name`` of a solver state or a reference namespace; a
-    solver state keeps gamma in its scratch."""
+    solver state's gamma is in the scratch of the offline data it was solved on."""
     if name == "gamma" and isinstance(state, SolverState):
-        return state.scratch.gamma
+        return offline.scratch.gamma
     return getattr(state, name)
 
 
@@ -477,15 +481,15 @@ def assert_steps_match_reference(problem, offline, state, x, r, iterations=200):
     through the reference; compare every iteration."""
     one_step = with_config(problem, max_iter=1)
     ts_r, AB = linear_terms(problem, r)
-    ref = copied(state)
+    ref = copied(state, offline)
     for k in range(iterations):
-        prev, ref_prev = (state.z2, state.z3), (ref.z2, ref.z3)
+        prev, ref_prev = (state.z2.copy(), state.z3.copy()), (ref.z2, ref.z3)
         result = eadmm_solve(offline, one_step, x, r, initial=state)
         assert result.residual_inf == reference_step(ref, offline, problem.rho, x, ts_r, AB), k
         for name in ITERATES:
-            got, want = iterate(state, name), getattr(ref, name)
+            got, want = iterate(state, offline, name), getattr(ref, name)
             assert got.shape == want.shape and got.tobytes() == want.tobytes(), (name, k)
-        dual = dual_residual(*prev, state, problem.rho)
+        dual = dual_residual(*prev, state, offline, problem.rho)
         assert dual == reference_dual_residual(*ref_prev, ref, problem.rho), k
     assert state.iterations == iterations
 
@@ -543,14 +547,15 @@ def test_iterates_bit_identical_to_reference_step(case):
     offline = build_offline(problem)
     assert_steps_match_reference(problem, offline, cold_start(n, m, N), x, r)
     prev = eadmm_solve(offline, problem, x, r)
-    warm = warmstart_predict(prev, offline.warmstart, x, x_next)
+    warm = warmstart_predict(prev, offline, x, x_next)
     assert warm.z1.any() and warm.lam.any()
     assert_steps_match_reference(problem, offline, warm, x_next, r)
 
 
 # The numpy form of warmstart_predict that the kernel's warm_shift replaced,
 # kept as the reference it must reproduce byte for byte. Its gamma, which
-# warm_shift leaves zero in the shared scratch, is zeros of lambda's shape.
+# warm_shift leaves zero in the offline data's scratch, is zeros of lambda's
+# shape.
 def reference_warmstart_predict(prev, gain, x_prev, x_next):
     x_prev = np.asarray(x_prev, dtype=float).ravel()
     x_next = np.asarray(x_next, dtype=float).ravel()
@@ -560,7 +565,6 @@ def reference_warmstart_predict(prev, gain, x_prev, x_next):
         z2=prev.z2.copy(),
         z3=prev.z3.copy(),
         lam=prev.lam.copy(),
-        scratch=prev.scratch,
     )
     dx = x_next - x_prev
     state.z2 -= gain.P_z2 @ dx
@@ -577,8 +581,8 @@ def test_warm_shift_bit_identical_to_reference(case):
     the same state, and by displacements spread over 16 decades. The cases
     include n = 1, where numpy's ``@`` does not call dgemv, and m > n. The
     new state's iterates share no memory with the previous solution, and
-    it shares the previous solve's scratch, whose gamma, filled with noise
-    before each warm start, comes out zero."""
+    the offline data's scratch gamma, filled with noise before each warm
+    start, comes out zero."""
     problem, x, x_next, r = match_cases()[case]
     n = problem.n
     offline = build_offline(problem)
@@ -588,15 +592,15 @@ def test_warm_shift_bit_identical_to_reference(case):
     targets += [x + rng.standard_normal(n) * 10.0 ** rng.integers(-8, 8, n) for _ in range(20)]
     sources = (prev.z1, prev.z2, prev.z3, prev.lam)
     for k, target in enumerate(targets):
-        prev.scratch.gamma[:] = rng.standard_normal(prev.lam.shape)
-        got = warmstart_predict(prev, offline.warmstart, x, target)
+        offline.scratch.gamma[:] = rng.standard_normal(prev.lam.shape)
+        got = warmstart_predict(prev, offline, x, target)
         want = reference_warmstart_predict(prev, offline.warmstart, x, target)
         for name in ITERATES:
-            a = iterate(got, name)
+            a = iterate(got, offline, name)
             b = np.zeros_like(prev.lam) if name == "gamma" else getattr(want, name)
             assert a.shape == b.shape and a.tobytes() == b.tobytes(), (name, k)
             assert not any(np.shares_memory(a, source) for source in sources), (name, k)
-        assert got.scratch is prev.scratch and got.iterations == 0
+        assert got.iterations == 0
 
 
 def test_warmstart_predict_rejects_shapes_that_do_not_fit(problem, offline):
@@ -605,16 +609,20 @@ def test_warmstart_predict_rejects_shapes_that_do_not_fit(problem, offline):
     x, x_next = np.array([0.1, -0.2, 1.0]), np.array([0.12, -0.25, 0.97])
     prev = eadmm_solve(offline, problem, x, np.zeros(problem.n + problem.m))
     gain = offline.warmstart
+
+    def with_gain(**blocks):
+        return replace(offline, warmstart=replace(gain, **blocks))
+
     bad = [
-        ("P_z2", prev, replace(gain, P_z2=np.zeros((6, 3))), x, x_next),
-        ("P_z3_head", prev, replace(gain, P_z3_head=np.zeros((3, 2))), x, x_next),
-        ("P_lambda_head", prev, replace(gain, P_lambda_head=np.zeros((3, 3))), x, x_next),
-        ("prev_z1", replace(prev, z1=np.zeros(4)), gain, x, x_next),
-        ("prev_z2", replace(prev, z2=np.zeros(6)), gain, x, x_next),
-        ("prev_z3", replace(prev, z3=np.zeros((4, 12))), gain, x, x_next),
-        ("prev_lam", replace(prev, lam=np.zeros((4, 13))), gain, x, x_next),
-        ("x_prev", prev, gain, x[:2], x_next),
-        ("x_next", prev, gain, x, np.append(x_next, 0.0)),
+        ("P_z2", prev, with_gain(P_z2=np.zeros((6, 3))), x, x_next),
+        ("P_z3_head", prev, with_gain(P_z3_head=np.zeros((3, 2))), x, x_next),
+        ("P_lambda_head", prev, with_gain(P_lambda_head=np.zeros((3, 3))), x, x_next),
+        ("prev_z1", replace(prev, z1=np.zeros(4)), offline, x, x_next),
+        ("prev_z2", replace(prev, z2=np.zeros(6)), offline, x, x_next),
+        ("prev_z3", replace(prev, z3=np.zeros((4, 12))), offline, x, x_next),
+        ("prev_lam", replace(prev, lam=np.zeros((4, 13))), offline, x, x_next),
+        ("x_prev", prev, offline, x[:2], x_next),
+        ("x_next", prev, offline, x, np.append(x_next, 0.0)),
     ]
     for name, *args in bad:
         with pytest.raises(DimensionMismatch, match=f"^{name} must be"):
@@ -625,8 +633,9 @@ def test_state_reuse_across_solves_matches_reference_step():
     """Solves that continue one state, or a warm start from it, with new inputs.
 
     Every later solve here changes x and r, the warm start replaces the
-    arrays, one solve runs on a state whose z1, lambda and scratch gamma a
-    caller replaced, and the last one on another problem of the same size
+    arrays, one solve runs on a state whose z1 and lambda and the offline
+    data's scratch gamma a caller replaced, and the last one on another
+    problem of the same size
     (other A, other penalties). Each must match the reference step byte for
     byte.
     """
@@ -650,26 +659,27 @@ def test_state_reuse_across_solves_matches_reference_step():
         assert result.iterations == before + 40 and not result.converged
         assert result.residual_inf == res
         for name in ITERATES:
-            assert iterate(state, name).tobytes() == getattr(ref, name).tobytes(), name
+            got = iterate(state, offline, name)
+            assert got.tobytes() == getattr(ref, name).tobytes(), name
         return result
 
     state = cold_start(n, m, N)
-    ref = copied(state)
+    ref = copied(state, pendulum[1])
     solve_and_check(state, *cases[0], ref)
     result = solve_and_check(state, *cases[1], ref)
-    warm = warmstart_predict(result, pendulum[1].warmstart, cases[1][0], cases[2][0])
-    ref = copied(warm)
+    warm = warmstart_predict(result, pendulum[1], cases[1][0], cases[2][0])
+    ref = copied(warm, pendulum[1])
     solve_and_check(warm, *cases[2], ref)
     solve_and_check(warm, *cases[3], ref)
     for name in ("z1", "lam"):
         setattr(warm, name, getattr(warm, name).copy())
-    warm.scratch.gamma = warm.scratch.gamma.copy()
+    pendulum[1].scratch.gamma = pendulum[1].scratch.gamma.copy()
     solve_and_check(warm, *cases[4], ref)
     solve_and_check(warm, *cases[5], ref, changed)
 
 
-def copied(state):
-    return SimpleNamespace(**{name: iterate(state, name).copy() for name in ITERATES})
+def copied(state, offline):
+    return SimpleNamespace(**{name: iterate(state, offline, name).copy() for name in ITERATES})
 
 
 def reference_solve(problem, offline, ref, x, r):
@@ -700,7 +710,7 @@ def float_bytes(value):
 
 def assert_solve_matches_reference(problem, offline, state, x, r):
     """One eadmm_solve from ``state`` against :func:`reference_solve` from a copy."""
-    ref = copied(state)
+    ref = copied(state, offline)
     iterations, res, dual, converged = reference_solve(problem, offline, ref, x, r)
     result = eadmm_solve(offline, problem, x, r, initial=state)
     assert (result.iterations, result.converged) == (iterations, converged)
@@ -708,7 +718,7 @@ def assert_solve_matches_reference(problem, offline, state, x, r):
     assert float_bytes(result.dual_residual) == float_bytes(dual)
     assert result.certified == (converged and dual <= problem.config.epsilon)
     for name in ITERATES:
-        assert iterate(state, name).tobytes() == getattr(ref, name).tobytes(), name
+        assert iterate(state, offline, name).tobytes() == getattr(ref, name).tobytes(), name
     return result
 
 
@@ -727,7 +737,7 @@ def test_whole_solve_bit_identical_to_reference_loop(case):
     for exit_test in EXIT_TESTS:
         target = with_config(problem, exit_test=exit_test)
         cold = assert_solve_matches_reference(target, offline, cold_start(n, m, N), x, r)
-        warm = warmstart_predict(cold, offline.warmstart, x, x_next)
+        warm = warmstart_predict(cold, offline, x, x_next)
         assert_solve_matches_reference(target, offline, warm, x_next, r)
 
 
@@ -742,7 +752,7 @@ def test_capped_and_broken_down_solves_match_reference_loop(problem, offline):
     for name, at in (("z2", (1,)), ("z3", (2, 5)), ("lam", (0, 3))):
         state = cold_start(n, m, N)
         getattr(state, name)[at] = np.nan
-        ref = copied(state)
+        ref = copied(state, offline)
         with pytest.raises(NumericalBreakdown) as want:
             reference_solve(problem, offline, ref, x, r)
         with pytest.raises(NumericalBreakdown) as got:
@@ -750,7 +760,8 @@ def test_capped_and_broken_down_solves_match_reference_loop(problem, offline):
         assert str(got.value) == str(want.value), name
         assert state.iterations == int(str(want.value).rsplit(" ", 1)[1])
         for key in ITERATES:
-            np.testing.assert_array_equal(iterate(state, key), getattr(ref, key), err_msg=key)
+            got = iterate(state, offline, key)
+            np.testing.assert_array_equal(got, getattr(ref, key), err_msg=key)
 
 
 def test_stage_path_matches_kernel_path(monkeypatch):
@@ -769,9 +780,9 @@ def test_stage_path_matches_kernel_path(monkeypatch):
                 monkeypatch.setattr(solver, name, passed)
         outputs = []
 
-        def outcome(state):
+        def outcome(state, offline):
             return (
-                [iterate(state, name).tobytes() for name in ITERATES]
+                [iterate(state, offline, name).tobytes() for name in ITERATES]
                 + [state.iterations, state.converged, state.certified]
                 + [float_bytes(state.residual_inf), float_bytes(state.dual_residual)]
             )
@@ -781,9 +792,10 @@ def test_stage_path_matches_kernel_path(monkeypatch):
             for exit_test in EXIT_TESTS:
                 target = with_config(problem, exit_test=exit_test)
                 cold = eadmm_solve(offline, target, x, r)
-                outputs.append(outcome(cold))
-                warm = warmstart_predict(cold, offline.warmstart, x, x_next)
-                outputs.append(outcome(eadmm_solve(offline, target, x_next, r, initial=warm)))
+                outputs.append(outcome(cold, offline))
+                warm = warmstart_predict(cold, offline, x, x_next)
+                warm = eadmm_solve(offline, target, x_next, r, initial=warm)
+                outputs.append(outcome(warm, offline))
         assert bool(calls) == traced
         runs.append(outputs)
     assert runs[0] == runs[1]
@@ -799,7 +811,7 @@ def test_stages_called_directly_follow_their_arguments(problem, offline):
     for rho, ab in ((problem.rho, AB), (other_rho, AB), (other_rho, 0.5 * AB)):
         fresh = cold_start(n, m, N)
         for state in (reused, fresh):
-            state.scratch.zsum[:] = 0.5
+            offline.scratch.zsum[:] = 0.5
             state.z2[:] = 0.25
             state.lam[:] = 1.0
             solve_qp1(state, offline, rho, x)
@@ -843,7 +855,7 @@ def test_solve_result_unchanged_by_later_solves(problem, offline):
     kept = {name: getattr(first, name).copy() for name in names}
     x_next = np.array([0.12, -0.25, 0.97])
     warm = eadmm_solve(
-        offline, problem, x_next, r, warmstart_predict(first, offline.warmstart, x, x_next)
+        offline, problem, x_next, r, warmstart_predict(first, offline, x, x_next)
     )
     eadmm_solve(offline, problem, -x, r)
     again = eadmm_solve(offline, problem, x, r)
@@ -853,48 +865,133 @@ def test_solve_result_unchanged_by_later_solves(problem, offline):
         assert not np.shares_memory(getattr(first, name), getattr(warm, name)), name
 
 
+def state_bytes(state):
+    """A solved state's own bytes: its iterates, copies and outcome."""
+    arrays = [getattr(state, name).tobytes() for name in ("z1", "z2", "z3", "lam", "u0", "xs_us")]
+    return arrays + [
+        state.iterations, state.converged, state.certified,
+        float_bytes(state.residual_inf), float_bytes(state.dual_residual),
+    ]
+
+
+def solved_bytes(state, offline):
+    """state_bytes and the gamma that the solve left in the offline data's scratch."""
+    return state_bytes(state) + [offline.scratch.gamma.tobytes()]
+
+
 def test_warm_starts_from_one_result_share_its_scratch_safely(problem, offline):
-    """Two states warm-started from one result share its scratch. Solved in
-    either order, each gives the bytes of a solve from a fresh scratch, and
-    the first result stays intact."""
+    """Two states warm-started from one result are solved on the scratch of
+    the offline data it was solved on. Solved in either order, each gives
+    the bytes of a solve on offline data of its own, and the first result
+    stays intact."""
     x, r = np.array([0.1, -0.2, 1.0]), np.zeros(problem.n + problem.m)
     targets = (np.array([0.12, -0.25, 0.97]), np.array([0.05, -0.1, 1.1]))
-
-    def outcome(state, result):
-        return [iterate(state, name).tobytes() for name in ITERATES] + [
-            result.u0.tobytes(), result.xs_us.tobytes(), result.iterations,
-            float_bytes(result.residual_inf), float_bytes(result.dual_residual),
-        ]
-
     first = eadmm_solve(offline, problem, x, r)
     want = []
     for target in targets:
-        state = warmstart_predict(first, offline.warmstart, x, target)
-        state.scratch = cold_start(problem.n, problem.m, problem.N).scratch
-        want.append(outcome(state, eadmm_solve(offline, problem, target, r, state)))
-    assert {w[7] % 2 for w in want} == {0, 1}  # one odd and one even iteration count
+        own = build_offline(problem)
+        state = warmstart_predict(first, own, x, target)
+        want.append(solved_bytes(eadmm_solve(own, problem, target, r, state), own))
+    assert {w[6] % 2 for w in want} == {0, 1}  # one odd and one even iteration count
     for order in ((0, 1), (1, 0)):
         first = eadmm_solve(offline, problem, x, r)
         kept = {name: getattr(first, name).copy() for name in ("z1", "z2", "z3", "lam")}
-        states = [warmstart_predict(first, offline.warmstart, x, t) for t in targets]
-        assert all(state.scratch is first.scratch for state in states)
+        states = [warmstart_predict(first, offline, x, t) for t in targets]
         for k in order:
-            got = outcome(states[k], eadmm_solve(offline, problem, targets[k], r, states[k]))
+            got = solved_bytes(eadmm_solve(offline, problem, targets[k], r, states[k]), offline)
             assert got == want[k], (order, k)
         for name, copy in kept.items():
             assert getattr(first, name).tobytes() == copy.tobytes(), (order, name)
 
 
-def test_warm_start_from_a_result_without_scratch_is_rejected(problem, offline):
-    """A state built by hand without scratch is a DimensionMismatch, not an
-    AttributeError, both when warm-started from and when solved."""
+def test_states_interleaved_on_one_offline_data_match_separate_solves(problem):
+    """Two cold states, each continued by capped solves of 3 and 4
+    iterations, and a warm chain, solved in turn on one offline data: every
+    solve gives the bytes of the same solves run on offline data of their
+    own, one per state."""
+    r = np.zeros(problem.n + problem.m)
+    caps = (with_config(problem, max_iter=3), with_config(problem, max_iter=4), problem)
+    starts = (np.array([0.1, -0.2, 1.0]), np.array([-0.05, 0.1, 0.4]), np.array([0.0, 0.0, 2.0]))
+
+    def run(datas):
+        states = [cold_start(problem.n, problem.m, problem.N) for _ in caps]
+        out = []
+        for step in range(6):
+            for k, (data, target) in enumerate(zip(datas, caps)):
+                x = starts[k] * 0.9**step
+                if k == 2 and step:  # the warm chain
+                    states[k] = warmstart_predict(states[k], data, x / 0.9, x)
+                eadmm_solve(data, target, x, r, states[k])
+                out.append(solved_bytes(states[k], data))
+        return out
+
+    shared = build_offline(problem)
+    assert run([shared] * 3) == run([build_offline(problem) for _ in caps])
+
+
+def test_threads_solving_on_one_offline_data_give_the_sequential_bytes(problem):
+    """Two threads, each running cold solves and a warm chain on one offline
+    data, with thread switches as often as the interpreter allows: every
+    solved state has the bytes of the same solves run one after another."""
+    data = build_offline(problem)
+    r = np.zeros(problem.n + problem.m)
+    rng = np.random.default_rng(61)
+    runs = [rng.uniform(-0.3, 0.3, (12, problem.n)) for _ in range(2)]
+
+    def worker(xs):
+        out, warm = [], None
+        for k, x in enumerate(xs):
+            out.append(state_bytes(eadmm_solve(data, problem, x, r)))
+            warm = None if warm is None else warmstart_predict(warm, data, xs[k - 1], x)
+            warm = eadmm_solve(data, problem, x, r, warm)
+            out.append(state_bytes(warm))
+        return out
+
+    want = [worker(xs) for xs in runs]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=2) as pool:
+            got = list(pool.map(worker, runs))
+    finally:
+        sys.setswitchinterval(interval)
+    assert got == want
+
+
+@pytest.mark.parametrize("traced", [False, True])
+def test_iterates_stay_in_their_arrays(problem, offline, traced, monkeypatch):
+    """Cold and warm solves of odd and even iteration counts, on the kernel
+    path and through the stage functions: each of a state's four iterates
+    is the same array object after the solve as before it."""
+    if traced:
+        for name in STAGES:
+            monkeypatch.setattr(solver, name, lambda *args, _fn=getattr(solver, name): _fn(*args))
+    x, x_next = np.array([0.1, -0.2, 1.0]), np.array([0.12, -0.25, 0.97])
+    r = np.zeros(problem.n + problem.m)
+    parities = set()
+
+    def check(state, target, point):
+        arrays = [state.z1, state.z2, state.z3, state.lam]
+        eadmm_solve(offline, target, point, r, state)
+        assert all(a is b for a, b in zip([state.z1, state.z2, state.z3, state.lam], arrays))
+        parities.add(state.iterations % 2)
+
+    for max_iter in (1, 2, 5, 8, problem.config.max_iter):
+        target = with_config(problem, max_iter=max_iter)
+        cold = cold_start(problem.n, problem.m, problem.N)
+        check(cold, target, x)
+        check(warmstart_predict(cold, offline, x, x_next), target, x_next)
+    assert parities == {0, 1}
+
+
+def test_warm_start_without_the_gain_is_a_typed_error(problem):
+    """warmstart_predict on offline data built without the gain raises
+    MissingWarmstartGain, not an AttributeError."""
+    data = build_offline(problem, with_warmstart=False)
     x, r = np.array([0.1, -0.2, 1.0]), np.zeros(problem.n + problem.m)
-    solved = eadmm_solve(offline, problem, x, r)
-    by_hand = replace(solved, scratch=None)
-    with pytest.raises(DimensionMismatch, match="previous state has no scratch"):
-        warmstart_predict(by_hand, offline.warmstart, x, x)
-    with pytest.raises(DimensionMismatch, match="initial state has no scratch"):
-        eadmm_solve(offline, problem, x, r, initial=by_hand)
+    solved = eadmm_solve(data, problem, x, r)
+    with pytest.raises(MissingWarmstartGain, match="warmstart gain"):
+        warmstart_predict(solved, data, x, x)
 
 
 def test_non_finite_entries_propagate_like_numpy(problem, offline):
@@ -907,23 +1004,24 @@ def test_non_finite_entries_propagate_like_numpy(problem, offline):
     ts_r, AB = linear_terms(problem, r)
     for name, at in (("z2", (1,)), ("z3", (1, 5)), ("lam", (2, 4))):
         for value in (np.nan, np.inf, -np.inf):
-            state = random_state(rng, problem)
+            state = random_state(rng, problem, offline)
             getattr(state, name)[at] = value
-            ref = copied(state)
+            ref = copied(state, offline)
             with pytest.raises(NumericalBreakdown, match="at iteration 1$"):
                 eadmm_solve(offline, one_step, x, r, initial=state)
             with np.errstate(invalid="ignore", over="ignore"):
                 want = reference_step(ref, offline, problem.rho, x, ts_r, AB)
             assert not np.isfinite(want), (name, value)
             for key in ITERATES:
-                np.testing.assert_array_equal(iterate(state, key), getattr(ref, key), err_msg=key)
+                got = iterate(state, offline, key)
+                np.testing.assert_array_equal(got, getattr(ref, key), err_msg=key)
     # A NaN in the first term of the dual residual's max() and none in the
     # second: Python's max() keeps the NaN.
-    state = random_state(rng, problem)
+    state = random_state(rng, problem, offline)
     z2_prev, z3_prev = state.z2.copy(), state.z3.copy()
     z2_prev[0] = np.nan
     want = reference_dual_residual(z2_prev, z3_prev, state, problem.rho)
-    assert np.isnan(want) and np.isnan(dual_residual(z2_prev, z3_prev, state, problem.rho))
+    assert np.isnan(want) and np.isnan(dual_residual(z2_prev, z3_prev, state, offline, problem.rho))
 
 
 @pytest.mark.parametrize("N", [2, 6, 7, 14, 126, 127, 300])
@@ -944,7 +1042,7 @@ def test_row_sums_follow_numpy_summation_order(N):
         return rng.standard_normal(shape) * 10.0 ** rng.integers(-8, 8, shape)
 
     for _ in range(20):
-        state = random_state(rng, problem)
+        state = random_state(rng, problem, offline)
         state.z3, state.lam = spread(state.z3.shape), spread(state.lam.shape)
         ts_r = spread(nm)
         z1, z3, lam = state.z1, state.z3, state.lam
@@ -954,7 +1052,7 @@ def test_row_sums_follow_numpy_summation_order(N):
         solve_qp2(state, offline, rho, ts_r)
         assert state.z2.tobytes() == want.tobytes()
         z2_prev, z3_prev = spread(nm), spread(z3.shape)
-        got = dual_residual(z2_prev, z3_prev, state, rho)
+        got = dual_residual(z2_prev, z3_prev, state, offline, rho)
         assert got == reference_dual_residual(z2_prev, z3_prev, state, rho)
 
 
@@ -977,11 +1075,11 @@ def test_kernel_band_solve_matches_f2py_dpbtrs(N):
 R, W = "read", "written"
 KERNEL_OPERANDS = {
     "qp1": dict(z1=W, zsum=R, lam=R, z2=R, x=R, columns=R, H1_inv=R, z1_lb=R, z1_ub=R),
-    "qp2": dict(z1=R, z2_spare=W, z3=R, lam=R, columns=R, ts_r=R, M2=R, work=W, q2=W),
+    "qp2": dict(z1=R, z2=W, z3=R, lam=R, columns=R, ts_r=R, M2=R, work=W, q2=W),
     "qp3_rhs": dict(
         z1=R, rhs=W, q3=W, work=W, prod=W, z2=R, lam=R, columns=R, H3_inv=R, AB=R
     ),
-    "qp3_update": dict(q3=R, z3_spare=W, rhs=R, prod=W, AB=R, H3_inv=R),
+    "qp3_update": dict(q3=R, z3=W, rhs=R, prod=W, AB=R, H3_inv=R),
     "residual": dict(z1=R, gamma=W, zsum=W, z2=R, z3=R, x=R),
     "duals": dict(lam=W, columns=R, gamma=R),
     "dual_residual": dict(z3=R, z3_spare=R, z2=R, z2_spare=R, columns=R, work=W),
@@ -1007,15 +1105,15 @@ def kernel_calls():
     as warmstart_predict and rk4_step call them."""
     problem = pendulum_problem(N=12)
     offline = build_offline(problem)
-    state = random_state(np.random.default_rng(47), problem)
+    state = random_state(np.random.default_rng(47), problem, offline)
     x, rho = np.array([0.1, -0.2, 1.0]), problem.rho
     r = np.array([0.0, 0.0, 0.5, 0.0])
-    ts_r, AB = state.scratch.ts_r, problem.model.AB
+    sc = offline.scratch
+    ts_r, AB = sc.ts_r, problem.model.AB
     ts_r[:] = linear_terms(problem, r)[0]
     real, calls, passed = kernel.load(), {}, {}
 
     def recorded(entry, args):
-        sc = state.scratch
         known = dict(
             z1=state.z1, z2=state.z2, z3=state.z3, lam=state.lam, gamma=sc.gamma,
             zsum=sc.zsum, z2_spare=sc.z2, z3_spare=sc.z3, q2=sc.q2, q3=sc.q3, work=sc.work,
@@ -1048,10 +1146,10 @@ def kernel_calls():
         solve_qp2(state, offline, rho, ts_r)
         solve_qp3(state, offline, rho, AB)
         compute_residual(state, offline, x)
-        update_duals(state, rho)
-        dual_residual(state.scratch.z2, state.scratch.z3, state, rho)
+        update_duals(state, offline, rho)
+        dual_residual(sc.z2, sc.z3, state, offline, rho)
         x_next, gain = np.array([0.12, -0.25, 0.97]), offline.warmstart
-        warm = warmstart_predict(state, gain, x, x_next)
+        warm = warmstart_predict(state, offline, x, x_next)
         plant_state, u = np.array([0.01, 0.2, 3.0]), np.array([1.5])
         next_state = rk4_step(plant_state, u, 0.02, 10, PendulumParams())
     finally:
@@ -1059,7 +1157,7 @@ def kernel_calls():
     named_after("warm_shift", dict(
         prev_z1=state.z1, prev_z2=state.z2, prev_z3=state.z3, prev_lam=state.lam,
         P_z3_head=gain.P_z3_head, P_z2=gain.P_z2, P_lambda_head=gain.P_lambda_head, x_prev=x,
-        x_next=x_next, z1=warm.z1, z2=warm.z2, z3=warm.z3, lam=warm.lam, gamma=warm.scratch.gamma,
+        x_next=x_next, z1=warm.z1, z2=warm.z2, z3=warm.z3, lam=warm.lam, gamma=sc.gamma,
     ))
     named_after("plant_step", dict(next_state=next_state, state=plant_state, u=u))
     operands = solver.solve_operands(state, offline, problem, x, r)

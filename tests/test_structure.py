@@ -123,25 +123,35 @@ def calls_named(tree, name):
     ]
 
 
-def test_only_cold_start_allocates_a_scratch():
-    """One place builds the solver's work space: every ``Scratch(`` call in
-    the package is in solver.cold_start, so a warm chain of solves, which
-    starts from one cold_start, allocates it once."""
+def test_only_offline_data_allocates_a_scratch():
+    """One place builds the solver's work space: the one ``Scratch(`` call in
+    the package is in OfflineData.__post_init__, so the work space is
+    allocated once per offline data, at build and at load, and never by a
+    cold start, a warm start or a solve."""
     builders, total = set(), 0
     for path in sorted(PACKAGE.glob("*.py")):
         tree = ast.parse(path.read_text())
         total += len(calls_named(tree, "Scratch"))
         for node in ast.walk(tree):
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                if calls_named(node, "Scratch"):
-                    builders.add(f"{path.stem}.{node.name}")
-    solver_tree = ast.parse((PACKAGE / "solver.py").read_text())
-    cold = next(
-        node for node in solver_tree.body
-        if isinstance(node, ast.FunctionDef) and node.name == "cold_start"
-    )
-    assert builders == {"solver.cold_start"}
-    assert total == len(calls_named(cold, "Scratch")) == 1
+            if isinstance(node, ast.ClassDef):
+                for method in node.body:
+                    if isinstance(method, ast.FunctionDef) and calls_named(method, "Scratch"):
+                        builders.add(f"{path.stem}.{node.name}.{method.name}")
+    assert total == 1
+    assert builders == {"offline.OfflineData.__post_init__"}
+
+
+def test_no_package_code_rebinds_an_iterate():
+    """A solver state's iterate arrays never move: no package code assigns
+    an attribute named z1, z2, z3 or lam of another object (a class may set
+    its own, as Scratch names its spares); solves write into the arrays."""
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            targets = node.targets if isinstance(node, ast.Assign) else []
+            targets += [node.target] if isinstance(node, (ast.AugAssign, ast.AnnAssign)) else []
+            for leaf in (leaf for target in targets for leaf in ast.walk(target)):
+                if isinstance(leaf, ast.Attribute) and getattr(leaf.value, "id", None) != "self":
+                    assert leaf.attr not in {"z1", "z2", "z3", "lam"}, (path.name, leaf.lineno)
 
 
 def test_solver_forms_no_matrix_product_in_python():
