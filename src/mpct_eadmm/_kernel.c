@@ -64,12 +64,12 @@ static PyObject *DimensionMismatch, *SingularConfiguration;
    z2_spare and z3_spare their second buffers: solve swaps each iterate with
    its spare before the stage that writes it (solve_qp2, solve_qp3), so the
    spare then holds the previous iterate, which the dual residual reads.
-   columns holds
-   every penalty in the duals' layout: rho0 at [i, 0], rho_hat at [i, j + 1]
-   and rho_s at [i, N + 2]. The warm-start shift reads the previous solution
-   prev_*, the two measured states and the gain's three blocks; the plant
-   step reads the plant's state and input and writes next_state. solve forms
-   ts_r = diag(T, S) r from the reference r and the offset weights T and S. */
+   columns holds every penalty in the duals' layout: rho0 at [i, 0], rho_hat
+   at [i, j + 1] and rho_s at [i, N + 2]. The warm-start shift reads the
+   previous solution prev_*, the two measured states and the gain's three
+   blocks; the plant step reads the plant's state and input and writes
+   next_state. solve forms ts_r = diag(T, S) r from the reference r and the
+   offset weights T and S. */
 struct eadmm {
     npy_intp n, nm, cols;
     double *z1, *z2, *z3, *lam, *gamma, *z2_spare, *z3_spare;

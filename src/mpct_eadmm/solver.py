@@ -76,12 +76,12 @@ class Scratch:
     to (j+1)*n - 1), which the solve overwrites with its solution, and
     ``ts_r`` the solve's diag(T, S) r.
 
-    A scratch holds no state between solves: :func:`eadmm_solve`
-    writes ``ts_r`` and ``zsum`` on entry, and the iterations write every
-    other buffer before they read it. gamma's padding is zero from
-    construction and no stage writes it; :func:`warmstart_predict`, which
-    uses gamma as temporary space, zeroes all of gamma after. So states
-    solved on one offline data, in any order, never see each other.
+    A scratch holds no state between solves: :func:`eadmm_solve` writes
+    ``ts_r`` and ``zsum`` on entry, and the iterations write every other
+    buffer before they read it. gamma's padding is zero from construction
+    and no stage writes it; :func:`warmstart_predict`, which uses gamma as
+    temporary space, zeroes all of gamma after. So states solved on one
+    offline data, in any order, never see each other.
     """
 
     __slots__ = ("zsum", "gamma", "z2", "z3", "q2", "q3", "work", "prod", "rhs", "ts_r")
@@ -111,7 +111,8 @@ class SolverState:
     structural padding and stay zero), columns 1..N+1 the congruence
     constraints, column N+2 the terminal equalities.
     iterations: iterations run on this state, over all its solves.
-    A solve writes the four arrays in place; they are never replaced.
+
+    A solve writes the four arrays in place; it never replaces them.
 
     The other fields are what the state's last :func:`eadmm_solve`
     reported (their defaults before any). ``converged`` says the configured

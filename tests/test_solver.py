@@ -930,13 +930,14 @@ def test_states_interleaved_on_one_offline_data_match_separate_solves(problem):
 
 
 def test_threads_solving_on_one_offline_data_give_the_sequential_bytes(problem):
-    """Two threads, each running cold solves and a warm chain on one offline
-    data, with thread switches as often as the interpreter allows: every
-    solved state has the bytes of the same solves run one after another."""
+    """Four threads, each running cold solves and a warm chain on one
+    offline data, with thread switches as often as the interpreter allows:
+    every solved state has the bytes of the same solves run one after
+    another."""
     data = build_offline(problem)
     r = np.zeros(problem.n + problem.m)
     rng = np.random.default_rng(61)
-    runs = [rng.uniform(-0.3, 0.3, (12, problem.n)) for _ in range(2)]
+    runs = [rng.uniform(-0.3, 0.3, (12, problem.n)) for _ in range(4)]
 
     def worker(xs):
         out, warm = [], None
@@ -951,8 +952,8 @@ def test_threads_solving_on_one_offline_data_give_the_sequential_bytes(problem):
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        with ThreadPoolExecutor(max_workers=2) as pool:
-            got = list(pool.map(worker, runs))
+        with ThreadPoolExecutor(max_workers=len(runs)) as pool:
+            got = list(pool.map(worker, runs, timeout=120))
     finally:
         sys.setswitchinterval(interval)
     assert got == want
