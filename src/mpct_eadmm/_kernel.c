@@ -10,7 +10,9 @@
  *  - elementwise operations keep numpy's operand order and association;
  *    the build flags forbid contracting them into fused multiply-adds;
  *  - a row sum is np.add.reduce's: 0 plus numpy's pairwise sum;
- *  - abs-max and clip propagate NaN as numpy's maximum and clip do;
+ *  - abs-max and clip propagate NaN as numpy's maximum and clip do; the
+ *    abs-max of gamma runs in four lanes and a NaN flag (abs_max), which
+ *    gives the same bytes, the first NaN's |value| included;
  *  - the small matrix products are the BLAS calls numpy's dot and matmul
  *    make and the band solve is LAPACK's dpbtrs, all through the pointers
  *    scipy.linalg.cython_blas and cython_lapack export;
@@ -18,6 +20,17 @@
  *    and float ** do; the build flags keep the compiler from folding
  *    pow(v, 2.0) into v * v, which rounds differently for some v, and from
  *    merging cos and sin into one sincos call, which Python never makes.
+ *
+ * The stage bodies are shaped for gcc's vectorizer, which the build runs at
+ * -O3. Each inner loop runs along one row without a branch, on row
+ * pointers and row scalars held in locals; only the band solve's
+ * right-hand side and solution, in dpbtrs's block layout, are read or
+ * written n apart. The terms that only the first or the last column gets
+ * are added outside those loops, and the state rows of z3 are a loop apart
+ * from its input rows. A vectorized loop computes each element by the
+ * same expression as the scalar loop did, so the bytes do not change.
+ * No pointer is restrict-qualified: gcc checks overlap at run time, which
+ * costs about as little, and aliased operands stay well-defined.
  *
  * The entry points are one per stage, which the Python stage functions
  * call; band_solve, the band solve alone, which is the package's only
@@ -290,7 +303,8 @@ swap(double **a, double **b)
 }
 
 /* solve_qp1: z1 = clip(H1_inv * v, lb, ub) with v the negated linear term
-   of the trajectory subproblem, from zsum, lam, z2 and x. */
+   of the trajectory subproblem, from zsum, lam, z2 and x. Columns 0 and N
+   add their extra terms outside the loop over the columns between. */
 static void
 stage_qp1(const struct eadmm *e)
 {
@@ -300,18 +314,16 @@ stage_qp1(const struct eadmm *e)
         const double *zsum = e->zsum + i * cols, *h1 = e->H1_inv + i * cols;
         const double *lb = e->z1_lb + i * cols, *ub = e->z1_ub + i * cols;
         double *z1 = e->z1 + i * cols;
-        for (npy_intp j = 0; j <= N; j++) {
-            double v = rho[j + 1] * zsum[j] + l[j + 1];
-            if (j == 0) {
-                v -= l[0];
-                if (i < n)
-                    v += rho[0] * e->x[i];
-            }
-            if (j == N)
-                v += rho[N + 2] * e->z2[i] + l[N + 2];
-            v *= h1[j];
-            z1[j] = clip(v, lb[j], ub[j]);
-        }
+        double v = rho[1] * zsum[0] + l[1];
+        v -= l[0];
+        if (i < n)
+            v += rho[0] * e->x[i];
+        z1[0] = clip(v * h1[0], lb[0], ub[0]);
+        for (npy_intp j = 1; j < N; j++)
+            z1[j] = clip((rho[j + 1] * zsum[j] + l[j + 1]) * h1[j], lb[j], ub[j]);
+        v = rho[N + 1] * zsum[N] + l[N + 1];
+        v += rho[N + 2] * e->z2[i] + l[N + 2];
+        z1[N] = clip(v * h1[N], lb[N], ub[N]);
     }
 }
 
@@ -323,13 +335,12 @@ stage_qp2(const struct eadmm *e)
     npy_intp nm = e->nm, cols = e->cols, N = cols - 1, lc = cols + 2;
     for (npy_intp i = 0; i < nm; i++) {
         double *w = e->work + i * cols;
-        const double *rho = e->columns + i * lc;
-        for (npy_intp j = 0; j < cols; j++) {
-            npy_intp k = i * cols + j;
-            w[j] = (e->z3[k] - e->z1[k]) * rho[j + 1];
-        }
+        const double *z1 = e->z1 + i * cols, *z3 = e->z3 + i * cols;
+        const double *rho = e->columns + i * lc + 1;
+        for (npy_intp j = 0; j < cols; j++)
+            w[j] = (z3[j] - z1[j]) * rho[j];
         double s = row_sum(w, cols) + row_sum(e->lam + i * lc + 1, cols + 1);
-        e->q2[i] = s - (rho[N + 2] * e->z1[i * cols + N] + e->ts_r[i]);
+        e->q2[i] = s - (rho[N + 1] * z1[N] + e->ts_r[i]);
     }
     /* np.dot of a C-ordered matrix and a vector: dgemv 'T' on the matrix's
        column-major view. */
@@ -346,14 +357,15 @@ static void
 stage_qp3_rhs(const struct eadmm *e)
 {
     npy_intp n = e->n, nm = e->nm, cols = e->cols, N = cols - 1, lc = cols + 2;
-    double *work = e->work, *prod = e->prod;
+    double *work = e->work, *prod = e->prod, *rhs = e->rhs;
     for (npy_intp i = 0; i < nm; i++) {
         const double *rho = e->columns + i * lc + 1, *l = e->lam + i * lc + 1;
+        const double *z1 = e->z1 + i * cols, *h3 = e->H3_inv + i * cols;
+        double *q3 = e->q3 + i * cols, *w = work + i * cols, z2 = e->z2[i];
         for (npy_intp j = 0; j < cols; j++) {
-            npy_intp k = i * cols + j;
-            double q = (e->z2[i] - e->z1[k]) * rho[j] + l[j];
-            e->q3[k] = q;
-            work[k] = e->H3_inv[k] * q;
+            double q = (z2 - z1[j]) * rho[j] + l[j];
+            q3[j] = q;
+            w[j] = h3[j] * q;
         }
     }
     /* prod[:n] = AB @ work[:, :N], reading work's first N columns in place,
@@ -367,9 +379,12 @@ stage_qp3_rhs(const struct eadmm *e)
         dgemv(&nt, &bN, &bnm, &alpha, work, &bcols, e->AB, &one, &beta, prod, &one);
     else
         dgemm(&nt, &nt, &bN, &bn, &bnm, &alpha, work, &bcols, e->AB, &bnm, &beta, prod, &bN);
-    for (npy_intp a = 0; a < n; a++)
+    for (npy_intp a = 0; a < n; a++) {
+        const double *w = work + a * cols + 1, *p = prod + a * N;
+        double *c = rhs + a;
         for (npy_intp k = 0; k < N; k++)
-            e->rhs[k * n + a] = work[a * cols + k + 1] - prod[a * N + k];
+            c[k * n] = w[k] - p[k];
+    }
 }
 
 /* The band solve of solve_qp3: dpbtrs on rhs in place, as
@@ -388,31 +403,66 @@ stage_band(const struct eadmm *e)
 
 /* Second half of solve_qp3, after the band solve left mu in rhs:
    z3 = -H3_inv * (q3 + [A B]' mu on columns 0..N-1 - mu on the state
-   rows of columns 1..N). */
+   rows of columns 1..N). The state rows and the input rows are separate
+   loops, and columns 0 and N are outside the loops over the columns
+   between. */
 static void
 stage_qp3_update(const struct eadmm *e)
 {
     npy_intp n = e->n, nm = e->nm, cols = e->cols, N = cols - 1;
-    const double *mu = e->rhs;
     /* prod = [A B]' mu, as np.dot of two Fortran-ordered operands: the
        row-major dgemm with both transposed, column-major mu' [A B]. */
     char t = 'T';
     int bN = (int)N, bn = (int)n, bnm = (int)nm;
     double alpha = 1.0, beta = 0.0;
     dgemm(&t, &t, &bN, &bnm, &bn, &alpha, e->rhs, &bn, e->AB, &bnm, &beta, e->prod, &bN);
-    for (npy_intp i = 0; i < nm; i++) {
+    /* numpy's (-H3_inv) * q3: the sign flip is exact */
+    for (npy_intp i = 0; i < n; i++) {
+        const double *q3 = e->q3 + i * cols, *h3 = e->H3_inv + i * cols, *p = e->prod + i * N;
+        const double *mu = e->rhs + i; /* mu[k n]: row i of block k */
+        double *z3 = e->z3 + i * cols;
+        z3[0] = -h3[0] * (q3[0] + p[0]);
+        for (npy_intp j = 1; j < N; j++)
+            z3[j] = -h3[j] * ((q3[j] + p[j]) - mu[(j - 1) * n]);
+        z3[N] = -h3[N] * (q3[N] - mu[(N - 1) * n]);
+    }
+    for (npy_intp i = n; i < nm; i++) {
         const double *q3 = e->q3 + i * cols, *h3 = e->H3_inv + i * cols, *p = e->prod + i * N;
         double *z3 = e->z3 + i * cols;
-        for (npy_intp j = 0; j < cols; j++) {
-            double q = q3[j];
-            if (j < N)
-                q += p[j];
-            if (i < n && j > 0)
-                q -= mu[(j - 1) * n + i];
-            /* numpy's (-H3_inv) * q3: the sign flip is exact */
-            z3[j] = -h3[j] * q;
-        }
+        for (npy_intp j = 0; j < N; j++)
+            z3[j] = -h3[j] * (q3[j] + p[j]);
+        z3[N] = -h3[N] * q3[N];
     }
+}
+
+/* max_step folded from 0 over |a[0]|, ..., |a[len - 1]|: with no NaN the
+   largest, which any order of the fold gives, since every |a[k]| is +0 or
+   more; otherwise |a[k]| of the first NaN a[k]. The fold runs in four
+   independent lanes and a NaN flag, so that no step waits for the one
+   before it, and only a NaN sends it back over the array for the first. */
+static double
+abs_max(const double *a, npy_intp len)
+{
+    double m[4] = {0.0, 0.0, 0.0, 0.0};
+    int nan = 0;
+    npy_intp k = 0;
+    for (; k + 4 <= len; k += 4)
+        for (int l = 0; l < 4; l++) {
+            double v = fabs(a[k + l]);
+            m[l] = v > m[l] ? v : m[l];
+            nan |= v != v;
+        }
+    for (; k < len; k++) {
+        double v = fabs(a[k]);
+        m[0] = v > m[0] ? v : m[0];
+        nan |= v != v;
+    }
+    if (nan)
+        for (k = 0;; k++)
+            if (a[k] != a[k])
+                return fabs(a[k]);
+    double lo = m[1] > m[0] ? m[1] : m[0], hi = m[3] > m[2] ? m[3] : m[2];
+    return hi > lo ? hi : lo;
 }
 
 /* compute_residual: gamma from z1, z2, z3 and x; zsum = z2 + z3. Returns
@@ -421,21 +471,18 @@ static double
 stage_residual(const struct eadmm *e)
 {
     npy_intp n = e->n, nm = e->nm, cols = e->cols, N = cols - 1, gc = cols + 2;
-    double *g = e->gamma;
     for (npy_intp a = 0; a < n; a++)
-        g[a * gc] = e->z1[a * cols] - e->x[a];
+        e->gamma[a * gc] = e->z1[a * cols] - e->x[a];
     for (npy_intp i = 0; i < nm; i++) {
+        const double *z1 = e->z1 + i * cols, *z3 = e->z3 + i * cols;
+        double *zsum = e->zsum + i * cols, *g = e->gamma + i * gc + 1, z2 = e->z2[i];
         for (npy_intp j = 0; j < cols; j++) {
-            npy_intp k = i * cols + j;
-            e->zsum[k] = e->z2[i] + e->z3[k];
-            g[i * gc + j + 1] = e->zsum[k] - e->z1[k];
+            zsum[j] = z2 + z3[j];
+            g[j] = zsum[j] - z1[j];
         }
-        g[i * gc + N + 2] = e->z2[i] - e->z1[i * cols + N];
+        g[N + 1] = z2 - z1[N];
     }
-    double m = 0.0;
-    for (npy_intp k = 0; k < nm * gc; k++)
-        m = max_step(m, fabs(g[k]));
-    return m;
+    return abs_max(e->gamma, nm * gc);
 }
 
 /* update_duals: lam += columns * gamma. */
@@ -443,8 +490,10 @@ static void
 stage_duals(const struct eadmm *e)
 {
     npy_intp size = e->nm * (e->cols + 2);
+    double *lam = e->lam;
+    const double *rho = e->columns, *g = e->gamma;
     for (npy_intp k = 0; k < size; k++)
-        e->lam[k] += e->columns[k] * e->gamma[k];
+        lam[k] += rho[k] * g[k];
 }
 
 /* dual_residual: max(|s1|max, |s2|max) with Python's max, where
@@ -458,16 +507,16 @@ stage_dual_residual(const struct eadmm *e)
     double m1 = 0.0, m2 = 0.0;
     for (npy_intp i = 0; i < nm; i++) {
         double dz2 = e->z2[i] - e->z2_spare[i];
+        const double *z3 = e->z3 + i * cols, *z3_prev = e->z3_spare + i * cols;
+        const double *rho = e->columns + i * lc + 1;
         double *w = e->work + i * cols;
-        const double *rho = e->columns + i * lc;
-        for (npy_intp j = 0; j < cols; j++) {
-            npy_intp k = i * cols + j;
-            w[j] = (e->z3[k] - e->z3_spare[k]) * rho[j + 1];
-            double s1 = rho[j + 1] * dz2 + w[j];
-            if (j == N)
-                s1 += rho[N + 2] * dz2;
-            m1 = max_step(m1, fabs(s1));
-        }
+        for (npy_intp j = 0; j < cols; j++)
+            w[j] = (z3[j] - z3_prev[j]) * rho[j];
+        for (npy_intp j = 0; j < N; j++)
+            m1 = max_step(m1, fabs(rho[j] * dz2 + w[j]));
+        double s1 = rho[N] * dz2 + w[N];
+        s1 += rho[N + 1] * dz2;
+        m1 = max_step(m1, fabs(s1));
         m2 = max_step(m2, fabs(row_sum(w, cols)));
     }
     return m2 > m1 ? m2 : m1;
@@ -713,9 +762,12 @@ solve(PyObject *Py_UNUSED(self), PyObject *const *args, Py_ssize_t nargs)
     stage_weighted_reference(&e);
     npy_intp nm = e.nm, cols = e.cols;
     double *z2 = e.z2, *z3 = e.z3;
-    for (npy_intp i = 0; i < nm; i++)
+    for (npy_intp i = 0; i < nm; i++) {
+        double *zsum = e.zsum + i * cols, z2_i = z2[i];
+        const double *z3_i = z3 + i * cols;
         for (npy_intp j = 0; j < cols; j++)
-            e.zsum[i * cols + j] = e.z2[i] + e.z3[i * cols + j];
+            zsum[j] = z2_i + z3_i[j];
+    }
     int status = CAPPED;
     Py_ssize_t k = 0;
     double res = INFINITY, dual = NAN;

@@ -115,23 +115,32 @@ def _check_weighted_reference(costs, reference):
 
 
 def _parse_rho(doc, model, config):
+    """The penalties of the document's ``rho``. A scalar form is spread over
+    the horizon by :func:`build_rho`, the first horizon-sized allocation,
+    so a horizon too large to allocate is reported there, on ``horizon``."""
     spec = _get(doc, "rho", required=True)
+    scalars = None
     try:
         if isinstance(spec, (int, float)):
-            return build_rho(model, config, float(spec), float(spec))
-        if isinstance(spec, dict) and "base" in spec:
-            return build_rho(model, config, float(spec["base"]), float(spec["boost"]))
-        if isinstance(spec, dict) and "rho0" in spec:
+            scalars = float(spec), float(spec)
+        elif isinstance(spec, dict) and "base" in spec:
+            scalars = float(spec["base"]), float(spec["boost"])
+        elif isinstance(spec, dict) and "rho0" in spec:
             return PenaltyParams(
                 rho0=np.asarray(spec["rho0"], dtype=float),
                 rho_s=np.asarray(spec["rho_s"], dtype=float),
                 rho_hat=np.asarray(spec["rho_hat"], dtype=float),
             )
-    except ConfigError:
-        raise
     except (KeyError, TypeError, ValueError, MpctError) as exc:
         raise ConfigError("rho", str(exc)) from None
-    raise ConfigError("rho", "expected a scalar, {base, boost} or {rho0, rho_s, rho_hat}")
+    if scalars is None:
+        raise ConfigError("rho", "expected a scalar, {base, boost} or {rho0, rho_s, rho_hat}")
+    try:
+        return build_rho(model, config, *scalars)
+    except MpctError as exc:
+        raise ConfigError("rho", str(exc)) from None
+    except (MemoryError, ValueError):  # numpy's "array is too big" is a ValueError
+        raise ConfigError("horizon", f"cannot allocate a horizon of {config.N} steps") from None
 
 
 def parse_config(doc):

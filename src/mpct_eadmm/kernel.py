@@ -35,7 +35,7 @@ CACHE = SOURCE.parent / "__pycache__"
 # sum, and the plant's libm calls stay the calls Python makes: gcc would fold
 # pow(v, 2.0) into v * v and merge cos and sin of one angle into sincos.
 FLAGS = (
-    "-O2", "-ffp-contract=off", "-fno-builtin-pow", "-fno-builtin-sin", "-fno-builtin-cos",
+    "-O3", "-ffp-contract=off", "-fno-builtin-pow", "-fno-builtin-sin", "-fno-builtin-cos",
     "-fPIC", "-shared",
 )
 # Link flags: the plant calls libm.

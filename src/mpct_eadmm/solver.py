@@ -36,8 +36,13 @@ times its stages itself. The kernel keeps these rules:
   BLAS (for diag(T, S) r with a 1 x 1 block, numpy's one scalar product),
   and the band solve is the LAPACK routine scipy's f2py ``dpbtrs``
   calls. Abs-max and clip propagate NaN as numpy's do.
-- Flags. It is compiled with ``-O2 -ffp-contract=off`` and never with
-  value-changing options such as ``-ffast-math``.
+- Flags. It is compiled with ``-O3 -ffp-contract=off`` and never with
+  value-changing options such as ``-ffast-math`` or ``-march``. -O3 is
+  value-safe: its vectorizer turns the stage loops, which are branch-free
+  and run along rows, into SIMD code that computes each element by the
+  same IEEE expression, and without fast-math it reorders no reduction;
+  the abs-max of gamma keeps four lanes of its own, which give the same
+  result in any order.
 - Memory. It allocates nothing and writes only into the iterates and
   scratch buffers it is given; the iterates stay in their arrays. Every
   operand must be a C-contiguous float64 array of the shape the call's
@@ -347,8 +352,13 @@ def eadmm_solve(offline, problem, x, r, initial=None):
             f"x must have shape ({n},) and r shape ({nm},); got {x.shape}, {r.shape}"
         )
     state = initial if initial is not None else cold_start(n, m, N)
-    shapes = [a.shape for a in (state.z1, state.z2, state.z3, state.lam)]
-    if shapes != [(nm, N + 1), (nm,), (nm, N + 1), (nm, N + 3)]:
+    if (
+        state.z1.shape != (nm, N + 1)
+        or state.z2.shape != (nm,)
+        or state.z3.shape != (nm, N + 1)
+        or state.lam.shape != (nm, N + 3)
+    ):
+        shapes = [a.shape for a in (state.z1, state.z2, state.z3, state.lam)]
         raise DimensionMismatch(f"initial state shapes {shapes} do not fit {(n, m, N)}")
     loop = _kernel_loop if _stage_functions() == KERNEL_STAGES else _stage_loop
     primal_only = config.exit_test == "primal"

@@ -288,12 +288,13 @@ def test_non_finite_or_fractional_numbers_exit_code(tmp_path, capsys, key, value
 @pytest.mark.parametrize(
     "key, value, commands",
     [(key, value, ("solve", "simulate")) for key, value in huge_integers()]
-    + [("sim.steps", 2**59, ("simulate",))],
+    + [("sim.steps", 2**59, ("simulate",))]
+    + [("horizon", 2**59, ("solve", "simulate", "precompute", "compare"))],
 )
 def test_integers_beyond_the_index_range_exit_code(tmp_path, capsys, key, value, commands):
-    """A count beyond the C index range, or a simulation too long to
-    allocate (2**59 steps: more bytes than an address space holds), exits 1
-    with a one-line config error naming the key and no traceback."""
+    """A count beyond the C index range, or a simulation or a horizon too
+    long to allocate (2**59 steps: more bytes than an address space holds),
+    exits 1 with a one-line config error naming the key and no traceback."""
     path = write_config(tmp_path, lambda d: with_value(d, key, value))
     for command in commands:
         assert cli.main([command, "--config", path]) == 1, command

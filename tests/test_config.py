@@ -258,6 +258,22 @@ def test_integers_beyond_the_index_range_report_their_key(key, value):
     assert exc.value.field == key, str(exc.value)
 
 
+@pytest.mark.parametrize(
+    "rho", [20.0, {"base": 20.0, "boost": 1000.0}], ids=["scalar", "base-boost"]
+)
+def test_unallocatable_horizon_reports_horizon(rho):
+    """A horizon within sys.maxsize whose penalties no address space holds
+    (2**59 steps: numpy's "array is too big") or no allocator gives
+    (2**45 steps: 2**50 bytes, a MemoryError) is a config error on horizon,
+    not on rho, where the first horizon-sized array is built."""
+    for horizon in (2**59, 2**45):
+        doc = default_pendulum_config()
+        doc.update(horizon=horizon, rho=rho)
+        with pytest.raises(ConfigError, match="cannot allocate") as exc:
+            parse_config(doc)
+        assert exc.value.field == "horizon", str(exc.value)
+
+
 def test_integers_up_to_the_index_range_are_accepted():
     """sys.maxsize itself is a valid cap and substep count; parsing takes it."""
     doc = default_pendulum_config()

@@ -1025,6 +1025,95 @@ def test_non_finite_entries_propagate_like_numpy(problem, offline):
     assert np.isnan(want) and np.isnan(dual_residual(z2_prev, z3_prev, state, offline, problem.rho))
 
 
+def max_step_scan(values):
+    """numpy's abs-max as the kernel's max_step folds it from 0: a NaN, once
+    met, stays; so the first NaN's |value|, its payload kept, wins."""
+    m = 0.0
+    for v in values:
+        v = abs(v)
+        if m == m and not v <= m:
+            m = v
+    return m
+
+
+def quiet_nan(payload, negative):
+    bits = 0x7FF8000000000000 | payload | (1 << 63 if negative else 0)
+    return np.array([bits], dtype=np.uint64).view(np.float64)[0]
+
+
+@pytest.mark.parametrize("n, m, N", [(3, 1, 12), (2, 1, 2), (2, 1, 11)])
+def test_residual_keeps_the_first_nan_in_every_lane(n, m, N):
+    """compute_residual's abs-max runs in four lanes over gamma's flat entries
+    and a scalar tail. Whichever lane or the tail holds the first NaN, and
+    whatever payload and sign the NaNs carry, the residual's bytes are the
+    first NaN's |value|, as max_step's scan gives it. (3 + 1) (12 + 3) = 60
+    entries leave no tail; 15 and 42 leave 3 and 2."""
+    problem = pendulum_problem(N=N) if n == 3 else random_problem(np.random.default_rng(N), n, m, N)
+    offline = build_offline(problem, with_warmstart=False)
+    nm, cols, gc = n + m, N + 1, N + 3
+    size, x = nm * gc, np.zeros(n)
+    lanes = {}  # the first entry fed by z3 of each lane, and of the tail
+    for i in range(nm):
+        for j in range(cols):
+            k = i * gc + j + 1
+            lanes.setdefault("tail" if k >= size - size % 4 else k % 4, (k, i, j))
+    assert len(lanes) == (4 if size % 4 == 0 else 5)
+    rng = np.random.default_rng(n + N)
+    places = [[a] for a in lanes.values()] + [
+        [a, b] for a in lanes.values() for b in lanes.values() if a != b
+    ]
+    for case, chosen in enumerate(places):
+        state = random_state(rng, problem, offline)
+        nans = []
+        for t, (k, i, j) in enumerate(chosen):
+            state.z3[i, j] = quiet_nan(0x1234 * (case + 1) + t, negative=(case + t) % 2 == 1)
+            nans.append(k)
+        gamma, res = compute_residual(state, offline, x)
+        flat = gamma.ravel()
+        assert sorted(np.flatnonzero(np.isnan(flat))) == sorted(nans), case
+        want = max_step_scan(flat.tolist())
+        assert np.float64(res).tobytes() == np.float64(want).tobytes(), (case, chosen)
+        assert np.float64(want).tobytes() == np.abs(flat[min(nans)]).tobytes()
+
+
+def test_signed_zeros_on_a_zero_bound_clip_like_numpy(problem):
+    """solve_qp1's first column, its vectorized interior columns and its last
+    column clip a linear term of -0.0 or +0.0 against a bound of -0.0 or
+    +0.0, below or above, as np.clip does: z1's bytes equal
+    reference_step's, which keeps the bound on a tie."""
+    offline = build_offline(problem, with_warmstart=False)
+    n, N, rho = problem.n, problem.N, problem.rho
+    ts_r, AB = linear_terms(problem, np.zeros(n + problem.m))
+    columns = (0, N // 2, N)
+    rng = np.random.default_rng(67)
+    for bound in (0.0, -0.0):
+        for side in ("lb", "ub"):
+            for signs in np.ndindex(2, 2, 2):
+                state = random_state(rng, problem, offline)
+                x = rng.standard_normal(n)
+                for i in (0, n):  # a state row and the input row
+                    # z2 = -0.0 keeps each z2 + z3 the sign of z3; the
+                    # initial-state dual enters with a minus, so +0.0 keeps it
+                    state.z2[i], state.lam[i, 0] = -0.0, 0.0
+                    for j, sign in zip(columns, signs):
+                        v = -0.0 if sign else 0.0
+                        state.z3[i, j], state.lam[i, j + 1] = v, v
+                        offline.z1_lb[i, j] = bound if side == "lb" else -np.inf
+                        offline.z1_ub[i, j] = bound if side == "ub" else np.inf
+                    if i < n:
+                        x[i] = -0.0 if signs[0] else 0.0
+                    state.lam[i, N + 2] = -0.0 if signs[2] else 0.0
+                offline.scratch.zsum[:] = state.z2[:, None] + state.z3
+                ref = copied(state, offline)
+                solve_qp1(state, offline, rho, x)
+                reference_step(ref, offline, rho, x, ts_r, AB)
+                assert state.z1.tobytes() == ref.z1.tobytes(), (bound, side, signs)
+                for i in (0, n):
+                    for j in columns:
+                        assert ref.z1[i, j] == 0.0
+                        assert np.signbit(ref.z1[i, j]) == np.signbit(bound), (i, j)
+
+
 @pytest.mark.parametrize("N", [2, 6, 7, 14, 126, 127, 300])
 def test_row_sums_follow_numpy_summation_order(N):
     """solve_qp2 and dual_residual byte for byte against the numpy expressions.
