@@ -40,9 +40,10 @@ times its stages itself. The kernel keeps these rules:
   value-changing options such as ``-ffast-math`` or ``-march``. -O3 is
   value-safe: its vectorizer turns the stage loops, which are branch-free
   and run along rows, into SIMD code that computes each element by the
-  same IEEE expression, and without fast-math it reorders no reduction;
-  the abs-max of gamma keeps four lanes of its own, which give the same
-  result in any order.
+  same IEEE expression, and without fast-math it reorders no reduction.
+  The abs-max of gamma folds in four lanes of its own: every |value| is
+  +0 or more, so the lanes' maximum is the serial fold's, and a NaN is
+  looked up again from the start.
 - Memory. It allocates nothing and writes only into the iterates and
   scratch buffers it is given; the iterates stay in their arrays. Every
   operand must be a C-contiguous float64 array of the shape the call's
