@@ -18,6 +18,7 @@ from .errors import (
     MpctError,
     NonPositiveWeight,
     NumericalBreakdown,
+    ProblemMismatch,
     RankDeficientG2,
     SingularConfiguration,
     SingularKkt,
@@ -63,6 +64,7 @@ __all__ = [
     "NumericalBreakdown",
     "OfflineData",
     "PenaltyParams",
+    "ProblemMismatch",
     "RankDeficientG2",
     "SingularConfiguration",
     "SingularKkt",

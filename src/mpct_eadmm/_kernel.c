@@ -77,16 +77,19 @@ static PyObject *DimensionMismatch, *SingularConfiguration;
    z2_spare and z3_spare their second buffers: solve swaps each iterate with
    its spare before the stage that writes it (solve_qp2, solve_qp3), so the
    spare then holds the previous iterate, which the dual residual reads.
-   columns holds every penalty in the duals' layout: rho0 at [i, 0], rho_hat
-   at [i, j + 1] and rho_s at [i, N + 2]. The warm-start shift reads the
-   previous solution prev_*, the two measured states and the gain's three
-   blocks; the plant step reads the plant's state and input and writes
-   next_state. solve forms ts_r = diag(T, S) r from the reference r and the
-   offset weights T and S. */
+   z1_lb and z1_ub are the trajectory block's boxes as the offline data
+   stores them, nm x 3: column 0 for stage 0, column 1 for stages 1 to
+   N - 1 and column 2 for stage N. columns holds every penalty in the
+   duals' layout: rho0 at [i, 0], rho_hat at [i, j + 1] and rho_s at
+   [i, N + 2]. The warm-start shift reads the previous solution prev_*, the
+   two measured states and the gain's three blocks; the plant step reads
+   the plant's state and input and writes next_state. solve forms
+   ts_r = diag(T, S) r from the reference r and the offset weights T and S.
+   The stages share q2, q3, work, prod and rhs only within an iteration. */
 struct eadmm {
     npy_intp n, nm, cols;
     double *z1, *z2, *z3, *lam, *gamma, *z2_spare, *z3_spare;
-    double *zsum, *q2, *q3, *work, *prod, *rhs;
+    double *q2, *q3, *work, *prod, *rhs;
     double *x, *r, *T, *S, *ts_r, *AB, *columns, *H1_inv, *z1_lb, *z1_ub, *M2, *H3_inv, *band;
     double *prev_z1, *prev_z2, *prev_z3, *prev_lam, *x_prev, *x_next;
     double *P_z2, *P_z3_head, *P_lambda_head;
@@ -97,14 +100,18 @@ struct eadmm {
 enum { PLANT_STATES = 3, PLANT_INPUTS = 1 };
 
 /* The extents an operand's shape is stated in: n, nm, cols, cols + 2,
-   N = cols - 1, N n, 2n, the plant's fixed sizes and m = nm - n; VEC as the
-   second extent marks a vector. */
+   N = cols - 1, N n, 2n, the plant's fixed sizes, m = nm - n and the three
+   box columns; VEC as the second extent marks a vector. */
 enum {
-    VEC, EXT_N, EXT_NM, EXT_COLS, EXT_LC, EXT_H, EXT_NH, EXT_2N, EXT_PX, EXT_PU, EXT_M, EXTENTS,
+    VEC, EXT_N, EXT_NM, EXT_COLS, EXT_LC, EXT_H, EXT_NH, EXT_2N, EXT_PX, EXT_PU, EXT_M, EXT_BOX,
+    EXTENTS,
 };
 
+/* The box columns: stage 0, stages 1 to N - 1, stage N. */
+enum { BOX_FIRST, BOX_INTERIOR, BOX_LAST, BOX_COLUMNS };
+
 enum {
-    Z1, Z2, Z3, LAM, GAMMA, Z2_SPARE, Z3_SPARE, ZSUM, Q2, Q3, WORK, PROD, RHS,
+    Z1, Z2, Z3, LAM, GAMMA, Z2_SPARE, Z3_SPARE, Q2, Q3, WORK, PROD, RHS,
     X, REF, COST_T, COST_S, TS_R, AB, COLUMNS, H1_INV, Z1_LB, Z1_UB, M2, H3_INV, BAND,
     PREV_Z1, PREV_Z2, PREV_Z3, PREV_LAM, X_PREV, X_NEXT, P_Z2, P_Z3_HEAD, P_LAMBDA_HEAD,
     STATE, U, NEXT_STATE,
@@ -123,7 +130,6 @@ static const struct operand {
     OPERAND(GAMMA, gamma, EXT_NM, EXT_LC),
     OPERAND(Z2_SPARE, z2_spare, EXT_NM, VEC),
     OPERAND(Z3_SPARE, z3_spare, EXT_NM, EXT_COLS),
-    OPERAND(ZSUM, zsum, EXT_NM, EXT_COLS),
     OPERAND(Q2, q2, EXT_NM, VEC),
     OPERAND(Q3, q3, EXT_NM, EXT_COLS),
     OPERAND(WORK, work, EXT_NM, EXT_COLS),
@@ -137,8 +143,8 @@ static const struct operand {
     OPERAND(AB, AB, EXT_N, EXT_NM),
     OPERAND(COLUMNS, columns, EXT_NM, EXT_LC),
     OPERAND(H1_INV, H1_inv, EXT_NM, EXT_COLS),
-    OPERAND(Z1_LB, z1_lb, EXT_NM, EXT_COLS),
-    OPERAND(Z1_UB, z1_ub, EXT_NM, EXT_COLS),
+    OPERAND(Z1_LB, z1_lb, EXT_NM, EXT_BOX),
+    OPERAND(Z1_UB, z1_ub, EXT_NM, EXT_BOX),
     OPERAND(M2, M2, EXT_NM, EXT_NM),
     OPERAND(H3_INV, H3_inv, EXT_NM, EXT_COLS),
     OPERAND(BAND, band, EXT_2N, EXT_NH), /* Fortran-ordered, as dpbtrs reads it */
@@ -210,7 +216,7 @@ bind(struct eadmm *e, const char *fn, PyObject *const *args, Py_ssize_t nargs,
     }
     npy_intp ext[EXTENTS] = {
         -1, n, nm, cols, cols + 2, cols - 1, (cols - 1) * n, 2 * n, PLANT_STATES, PLANT_INPUTS,
-        nm - n,
+        nm - n, BOX_COLUMNS,
     };
     for (int k = 1; k < EXTENTS; k++)
         if (ext[k] > INT_MAX) {
@@ -303,27 +309,32 @@ swap(double **a, double **b)
 }
 
 /* solve_qp1: z1 = clip(H1_inv * v, lb, ub) with v the negated linear term
-   of the trajectory subproblem, from zsum, lam, z2 and x. Columns 0 and N
-   add their extra terms outside the loop over the columns between. */
+   of the trajectory subproblem, from z2 + z3, lam, z2 and x. Each sum
+   z2 + z3 is formed where it is used; the residual of the iteration before
+   formed the same sums from the same z2 and z3. Columns 0 and N add their
+   extra terms, and clip against their own box columns, outside the loop
+   over the columns between, which clips against the row's two interior
+   bounds. */
 static void
 stage_qp1(const struct eadmm *e)
 {
     npy_intp n = e->n, nm = e->nm, cols = e->cols, N = cols - 1, lc = cols + 2;
     for (npy_intp i = 0; i < nm; i++) {
         const double *l = e->lam + i * lc, *rho = e->columns + i * lc;
-        const double *zsum = e->zsum + i * cols, *h1 = e->H1_inv + i * cols;
-        const double *lb = e->z1_lb + i * cols, *ub = e->z1_ub + i * cols;
-        double *z1 = e->z1 + i * cols;
-        double v = rho[1] * zsum[0] + l[1];
+        const double *z3 = e->z3 + i * cols, *h1 = e->H1_inv + i * cols;
+        const double *lb = e->z1_lb + i * BOX_COLUMNS, *ub = e->z1_ub + i * BOX_COLUMNS;
+        double *z1 = e->z1 + i * cols, z2 = e->z2[i];
+        double lb_i = lb[BOX_INTERIOR], ub_i = ub[BOX_INTERIOR];
+        double v = rho[1] * (z2 + z3[0]) + l[1];
         v -= l[0];
         if (i < n)
             v += rho[0] * e->x[i];
-        z1[0] = clip(v * h1[0], lb[0], ub[0]);
+        z1[0] = clip(v * h1[0], lb[BOX_FIRST], ub[BOX_FIRST]);
         for (npy_intp j = 1; j < N; j++)
-            z1[j] = clip((rho[j + 1] * zsum[j] + l[j + 1]) * h1[j], lb[j], ub[j]);
-        v = rho[N + 1] * zsum[N] + l[N + 1];
-        v += rho[N + 2] * e->z2[i] + l[N + 2];
-        z1[N] = clip(v * h1[N], lb[N], ub[N]);
+            z1[j] = clip((rho[j + 1] * (z2 + z3[j]) + l[j + 1]) * h1[j], lb_i, ub_i);
+        v = rho[N + 1] * (z2 + z3[N]) + l[N + 1];
+        v += rho[N + 2] * z2 + l[N + 2];
+        z1[N] = clip(v * h1[N], lb[BOX_LAST], ub[BOX_LAST]);
     }
 }
 
@@ -465,8 +476,8 @@ abs_max(const double *a, npy_intp len)
     return hi > lo ? hi : lo;
 }
 
-/* compute_residual: gamma from z1, z2, z3 and x; zsum = z2 + z3. Returns
-   the largest |gamma| over the whole array, NaN if any entry is NaN. */
+/* compute_residual: gamma from z1, z2, z3 and x. Returns the largest
+   |gamma| over the whole array, NaN if any entry is NaN. */
 static double
 stage_residual(const struct eadmm *e)
 {
@@ -475,11 +486,9 @@ stage_residual(const struct eadmm *e)
         e->gamma[a * gc] = e->z1[a * cols] - e->x[a];
     for (npy_intp i = 0; i < nm; i++) {
         const double *z1 = e->z1 + i * cols, *z3 = e->z3 + i * cols;
-        double *zsum = e->zsum + i * cols, *g = e->gamma + i * gc + 1, z2 = e->z2[i];
-        for (npy_intp j = 0; j < cols; j++) {
-            zsum[j] = z2 + z3[j];
-            g[j] = zsum[j] - z1[j];
-        }
+        double *g = e->gamma + i * gc + 1, z2 = e->z2[i];
+        for (npy_intp j = 0; j < cols; j++)
+            g[j] = (z2 + z3[j]) - z1[j];
         g[N + 1] = z2 - z1[N];
     }
     return abs_max(e->gamma, nm * gc);
@@ -666,7 +675,7 @@ rejected_band_argument(int info)
 static PyObject *
 qp1(PyObject *Py_UNUSED(self), PyObject *const *args, Py_ssize_t nargs)
 {
-    BIND(0, Z1 | OUT, ZSUM, LAM, Z2, X, COLUMNS, H1_INV, Z1_LB, Z1_UB);
+    BIND(0, Z1 | OUT, Z3, LAM, Z2, X, COLUMNS, H1_INV, Z1_LB, Z1_UB);
     stage_qp1(&e);
     Py_RETURN_NONE;
 }
@@ -698,7 +707,7 @@ qp3_update(PyObject *Py_UNUSED(self), PyObject *const *args, Py_ssize_t nargs)
 static PyObject *
 residual(PyObject *Py_UNUSED(self), PyObject *const *args, Py_ssize_t nargs)
 {
-    BIND(0, Z1, GAMMA | OUT, ZSUM | OUT, Z2, Z3, X);
+    BIND(0, Z1, GAMMA | OUT, Z2, Z3, X);
     return PyFloat_FromDouble(stage_residual(&e));
 }
 
@@ -735,11 +744,12 @@ band_solve(PyObject *Py_UNUSED(self), PyObject *const *args, Py_ssize_t nargs)
 enum { CAPPED = 0, CONVERGED = 1, BREAKDOWN = 2 };
 
 /* The iterations of one solve, as eadmm_solve's stage loop runs them: ts_r
-   set to diag(T, S) r and zsum to z2 + z3, then per iteration the five
-   stages, the primal residual's finiteness and exit test, and the dual
-   residual on iterations whose primal residual is within epsilon. With
-   max_iter = 0 only ts_r and zsum are written.
-   solve(<its 26 arrays, in the order below>, epsilon, primal_only, max_iter)
+   set to diag(T, S) r, then per iteration the five stages, the primal
+   residual's finiteness and exit test, and the dual residual on iterations
+   whose primal residual is within epsilon. With max_iter = 0 only ts_r is
+   written. No stage reads a work-space buffer that an earlier iteration
+   left: each iteration writes every buffer it reads first.
+   solve(<its 25 arrays, in the order below>, epsilon, primal_only, max_iter)
    Returns (status, iterations, primal residual, dual residual), the last
    NaN when no iteration passed the primal test. Every iteration swaps z2
    and z3 with their spares before the stages that write them, so the
@@ -749,9 +759,9 @@ enum { CAPPED = 0, CONVERGED = 1, BREAKDOWN = 2 };
 static PyObject *
 solve(PyObject *Py_UNUSED(self), PyObject *const *args, Py_ssize_t nargs)
 {
-    BIND(3, Z1 | OUT, Z2 | OUT, Z3 | OUT, LAM | OUT, GAMMA | OUT, ZSUM | OUT, Z2_SPARE | OUT,
-         Z3_SPARE | OUT, Q2 | OUT, Q3 | OUT, WORK | OUT, PROD | OUT, RHS | OUT, TS_R | OUT,
-         X, REF, COST_T, COST_S, AB, COLUMNS, H1_INV, Z1_LB, Z1_UB, M2, H3_INV, BAND);
+    BIND(3, Z1 | OUT, Z2 | OUT, Z3 | OUT, LAM | OUT, GAMMA | OUT, Z2_SPARE | OUT, Z3_SPARE | OUT,
+         Q2 | OUT, Q3 | OUT, WORK | OUT, PROD | OUT, RHS | OUT, TS_R | OUT, X, REF, COST_T, COST_S,
+         AB, COLUMNS, H1_INV, Z1_LB, Z1_UB, M2, H3_INV, BAND);
     PyObject *const *scalars = args + sizeof uses;
     double eps = PyFloat_AsDouble(scalars[0]);
     int primal_only = PyObject_IsTrue(scalars[1]);
@@ -760,14 +770,7 @@ solve(PyObject *Py_UNUSED(self), PyObject *const *args, Py_ssize_t nargs)
         return NULL;
 
     stage_weighted_reference(&e);
-    npy_intp nm = e.nm, cols = e.cols;
     double *z2 = e.z2, *z3 = e.z3;
-    for (npy_intp i = 0; i < nm; i++) {
-        double *zsum = e.zsum + i * cols, z2_i = z2[i];
-        const double *z3_i = z3 + i * cols;
-        for (npy_intp j = 0; j < cols; j++)
-            zsum[j] = z2_i + z3_i[j];
-    }
     int status = CAPPED;
     Py_ssize_t k = 0;
     double res = INFINITY, dual = NAN;
@@ -797,8 +800,8 @@ solve(PyObject *Py_UNUSED(self), PyObject *const *args, Py_ssize_t nargs)
         }
     }
     if (e.z2 != z2) { /* z2 and z3 swap together */
-        memcpy(z2, e.z2, nm * sizeof(double));
-        memcpy(z3, e.z3, nm * cols * sizeof(double));
+        memcpy(z2, e.z2, e.nm * sizeof(double));
+        memcpy(z3, e.z3, e.nm * e.cols * sizeof(double));
     }
     return Py_BuildValue("(indd)", status, k, res, dual);
 }

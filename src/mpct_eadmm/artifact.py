@@ -2,7 +2,7 @@
 
 Little-endian layout: magic string, format version, dimension header, the
 SHA-256 fingerprint of the problem the data was built for
-(:func:`offline.problem_fingerprint`), the float64 payload arrays in
+(:func:`problem.problem_fingerprint`), the float64 payload arrays in
 declaration order (beta_hat blocks packed as upper triangles), an optional
 warmstart-gain section, and a 64-bit truncated SHA-256 checksum over
 everything before it. The format is bit-exact so that
@@ -20,8 +20,8 @@ from .offline import OfflineData, WarmstartGain
 MAGIC = b"MPCT-EADMM\x00"
 FORMAT_VERSION = 2
 FINGERPRINT_BYTES = 32
-# Stage bound vectors of OfflineData, in artifact order.
-BOUND_FIELDS = ("z_lb", "z_ub", "z_lb_s", "z_ub_s", "u_only_lb", "u_only_ub")
+# Box columns in artifact order (stages 1 to N - 1, stage N, stage 0), lb then ub.
+BOX_ORDER = (1, 2, 0)
 
 
 def _pack_array(arr):
@@ -40,7 +40,8 @@ def save_offline(offline, path):
     rows, cols = np.triu_indices(n)
     arrays.append(offline.alphas.ravel())
     arrays.append(offline.beta_hats[:, rows, cols].ravel())
-    arrays.extend(getattr(offline, name) for name in BOUND_FIELDS)
+    for col in BOX_ORDER:
+        arrays += [offline.box_lb[:, col], offline.box_ub[:, col]]
     arrays.append(np.array([offline.rho_upper_bound, float(offline.rho_exceeds_bound)]))
     parts.extend(_pack_array(a) for a in arrays)
     if offline.warmstart is not None:
@@ -98,7 +99,9 @@ def load_offline(path):
     rows, cols = np.triu_indices(n)
     beta_hats = np.zeros((N, n, n))
     beta_hats[:, rows, cols] = rd.floats(N * rows.size).reshape(N, rows.size)
-    bounds = {name: rd.floats(nm) for name in BOUND_FIELDS}
+    box_lb, box_ub = np.empty((nm, 3)), np.empty((nm, 3))
+    for col in BOX_ORDER:
+        box_lb[:, col], box_ub[:, col] = rd.floats(nm), rd.floats(nm)
     bound, exceeds = rd.floats(2)
     has_ws = rd.take(1)
     warmstart = None
@@ -116,7 +119,7 @@ def load_offline(path):
         M2=M2,
         alphas=alphas,
         beta_hats=beta_hats,
-        **bounds,
+        box_lb=box_lb, box_ub=box_ub,
         rho_upper_bound=float(bound),
         rho_exceeds_bound=bool(exceeds),
         fingerprint=fingerprint,

@@ -18,9 +18,9 @@ import numpy as np
 from . import dense
 from .artifact import load_offline, save_offline
 from .compare import interleaved_max_deviation, sample_states
-from .config import load_config
+from .config import check_weighted_reference, load_config
 from .errors import ArtifactError, ConfigError, MpctError, NumericalBreakdown
-from .offline import build_offline, problem_fingerprint
+from .offline import build_offline
 from .pendulum import closed_loop, scale_state
 from .solver import eadmm_solve
 
@@ -55,7 +55,7 @@ def _get_offline(args, cfg):
             f"artifact has (n, m, N) = {(offline.n, offline.m, offline.N)}, "
             f"the config {(p.n, p.m, p.N)}"
         )
-    if offline.fingerprint != problem_fingerprint(p):
+    if offline.fingerprint != p.fingerprint:
         raise ArtifactError(
             "artifact was built for another problem (model, costs or rho differ "
             "from the config)"
@@ -104,6 +104,8 @@ def cmd_solve(args):
     offline = _get_offline(args, cfg)
     x = _parse_floats(args.x, "--x") if args.x else scale_state(cfg.x0_physical, cfg.sim.scale)
     r = _parse_floats(args.r, "--r") if args.r else cfg.reference
+    if args.r and r.size == cfg.reference.size:  # else eadmm_solve's DimensionMismatch
+        check_weighted_reference(cfg.problem.costs, r, "--r")
     result = eadmm_solve(offline, cfg.problem, x, r)
     print(
         json.dumps(

@@ -15,20 +15,23 @@ from . import dense
 from .problem import validate_problem
 from .solver import cold_start, eadmm_solve
 
+SAMPLE_CAP = 1.0
+SAMPLE_FRACTION = 0.9
 
-def sample_states(model, rng, count, cap=1.0, fraction=0.9):
+
+def sample_states(model, rng, count):
     """Draw random states from the interior of the state box.
 
-    An infinite bound is placed 2 cap beyond the other bound, that bound
-    first limited to [-cap, cap]; a component with no bounds thus gets
-    [-cap, cap]. Each component is sampled from the central ``fraction``
-    of its interval.
+    An infinite bound is placed 2 SAMPLE_CAP beyond the other bound, that
+    bound first limited to [-SAMPLE_CAP, SAMPLE_CAP]; a component with no
+    bounds thus gets [-SAMPLE_CAP, SAMPLE_CAP]. Each component is sampled
+    from the central SAMPLE_FRACTION of its interval.
     """
-    lb, ub = model.x_lb, model.x_ub
+    cap, lb, ub = SAMPLE_CAP, model.x_lb, model.x_ub
     lo = np.where(np.isfinite(lb), lb, np.minimum(ub, cap) - 2 * cap)
     hi = np.where(np.isfinite(ub), ub, np.maximum(lb, -cap) + 2 * cap)
     mid = 0.5 * (lo + hi)
-    half = 0.5 * fraction * (hi - lo)
+    half = 0.5 * SAMPLE_FRACTION * (hi - lo)
     return mid + rng.uniform(-1.0, 1.0, size=(count, model.n)) * half
 
 

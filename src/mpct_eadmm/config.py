@@ -101,16 +101,17 @@ def _finite_vector(doc, path, size):
     return val
 
 
-def _check_weighted_reference(costs, reference):
+def check_weighted_reference(costs, reference, path):
     """The solver's first step forms diag(T, S) r; a finite r for which that
     overflows would only break down inside the iteration, so it is rejected
-    here. The products are numpy's, whose bytes the solver's kernel matches."""
+    here, as a :class:`ConfigError` on ``path``. The products are numpy's,
+    whose bytes the solver's kernel matches."""
     n = costs.T.shape[0]
     with np.errstate(over="ignore", invalid="ignore"):
         weighted = np.concatenate([costs.T @ reference[:n], costs.S @ reference[n:]])
     if not np.all(np.isfinite(weighted)):
         raise ConfigError(
-            "reference", f"its weighted form diag(T, S) r is not finite: {weighted.tolist()}"
+            path, f"its weighted form diag(T, S) r is not finite: {weighted.tolist()}"
         )
 
 
@@ -186,7 +187,7 @@ def parse_config(doc):
     pendulum = _settings(PendulumParams, doc, prefix="sim.pendulum.")
     x0 = _finite_vector(doc, "sim.x0", model.n)
     reference = _finite_vector(doc, "reference", model.n + model.m)
-    _check_weighted_reference(costs, reference)
+    check_weighted_reference(costs, reference, "reference")
     warmstart = _get(doc, "warmstart", default=False)
     if not isinstance(warmstart, bool):
         raise ConfigError("warmstart", f"expected true or false, got {warmstart!r}")

@@ -13,6 +13,8 @@ import numpy as np
 
 from .errors import SingularKkt
 
+FACE_TOL = 1e-9  # see kkt_residual
+
 
 @dataclass
 class DenseExtendedProblem:
@@ -213,12 +215,12 @@ def _stationarity_residual(g, G):
     return float(np.abs(g + G.T @ mu).max())
 
 
-def kkt_residual(problem, z1, z2, z3, lam, face_tol=1e-9):
+def kkt_residual(problem, z1, z2, z3, lam):
     """First-order optimality residual of the original problem at a point.
 
     Combines the coupling-equality residual, the per-block subspace residuals
     and the stationarity of each block; box-constrained components are tested
-    with a clipped gradient (only components strictly inside their box count).
+    with a clipped gradient (only components FACE_TOL inside their box count).
     """
     p = problem
     eq = float(np.abs(p.A1 @ z1 + p.A2 @ z2 + p.A3 @ z3 - p.b).max())
@@ -227,7 +229,7 @@ def kkt_residual(problem, z1, z2, z3, lam, face_tol=1e-9):
         float(np.abs(p.G2 @ z2).max()),
     )
     g1 = p.A1.T @ lam
-    inside = (z1 > p.z1_lb + face_tol) & (z1 < p.z1_ub - face_tol)
+    inside = (z1 > p.z1_lb + FACE_TOL) & (z1 < p.z1_ub - FACE_TOL)
     s1 = float(np.abs(g1[inside]).max()) if np.any(inside) else 0.0
     g2 = p.TS @ z2 + p.q2_lin + p.A2.T @ lam
     s2 = _stationarity_residual(g2, p.G2)

@@ -9,6 +9,10 @@ class DimensionMismatch(MpctError):
     """Inconsistent array dimensions in problem data."""
 
 
+class ProblemMismatch(MpctError):
+    """Offline data used with a problem other than the one it was built for."""
+
+
 class NonPositiveWeight(MpctError):
     """A cost or penalty entry that must be strictly positive is not."""
 

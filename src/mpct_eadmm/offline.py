@@ -4,11 +4,10 @@ Everything the online iteration needs is computed here once per problem:
 the diagonal inverses of the first and third subproblem Hessians, the small
 dense gain solving the artificial-reference subproblem, the banded block
 Cholesky factors of the deviation subproblem's Schur complement, the stage
-bound vectors and the (sparse) warmstart gain. All of it together occupies
+boxes and the (sparse) warmstart gain. All of it together occupies
 a number of scalars that is affine in the prediction horizon.
 """
 
-import hashlib
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -180,15 +179,16 @@ class OfflineData:
     """Precomputed solver ingredients and the solver's work space.
 
     All horizon-indexed data is stored in column-block layout ((n+m) rows,
-    one column per prediction step). ``fingerprint`` is the
-    :func:`problem_fingerprint` of the problem the data was built for.
-    ``band`` (:func:`cholesky_band`) and the per-stage boxes ``z1_lb`` and
-    ``z1_ub`` of the trajectory block are derived on construction, at build
-    and at load, and are neither stored nor serialized. Every array the
-    compiled iteration kernel reads (the inverse Hessians, M2, the boxes) is
-    held in C order, built or loaded; ``band`` is in Fortran order. Every
-    solve and warm start on this data writes into its one ``scratch``
-    (:class:`~.solver.Scratch`), which is not counted in :meth:`scalar_count`.
+    one column per prediction step), but for the trajectory block's boxes
+    ``box_lb`` and ``box_ub``: (n+m) x 3, stage 0 (state rows unbounded),
+    stages 1 to N - 1 and the tightened stage N. ``fingerprint`` is the
+    problem's (:func:`~.problem.problem_fingerprint`). Only ``band``
+    (:func:`cholesky_band`) is derived on construction, at build and at
+    load, and not serialized. Every array the compiled iteration kernel
+    reads (the inverse Hessians, M2, the boxes) is held in C order, built or
+    loaded; ``band`` is in Fortran order. Every solve and warm start on this
+    data writes into its one ``scratch`` (:class:`~.solver.Scratch`), which
+    is not counted in :meth:`scalar_count`.
     """
 
     n: int
@@ -199,19 +199,13 @@ class OfflineData:
     M2: np.ndarray
     alphas: np.ndarray
     beta_hats: np.ndarray
-    z_lb: np.ndarray
-    z_ub: np.ndarray
-    z_lb_s: np.ndarray
-    z_ub_s: np.ndarray
-    u_only_lb: np.ndarray
-    u_only_ub: np.ndarray
+    box_lb: np.ndarray
+    box_ub: np.ndarray
     rho_upper_bound: float
     rho_exceeds_bound: bool
     fingerprint: bytes
     warmstart: WarmstartGain = None
     band: np.ndarray = field(init=False, repr=False)
-    z1_lb: np.ndarray = field(init=False, repr=False)
-    z1_ub: np.ndarray = field(init=False, repr=False)
     scratch: Scratch = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -221,10 +215,6 @@ class OfflineData:
         self.H3_inv = np.ascontiguousarray(self.H3_inv, dtype=float)
         self.M2 = np.ascontiguousarray(self.M2, dtype=float)
         self.band = cholesky_band(self.alphas, self.beta_hats)
-        self.z1_lb = np.repeat(self.z_lb[:, None], self.N + 1, axis=1)
-        self.z1_lb[:, 0], self.z1_lb[:, -1] = self.u_only_lb, self.z_lb_s
-        self.z1_ub = np.repeat(self.z_ub[:, None], self.N + 1, axis=1)
-        self.z1_ub[:, 0], self.z1_ub[:, -1] = self.u_only_ub, self.z_ub_s
         self.scratch = Scratch(self.n, self.m, self.N)
 
     def scalar_count(self):
@@ -239,27 +229,8 @@ class OfflineData:
         count += nm * nm  # M2
         count += (N - 1) * n * n  # alphas
         count += N * (n * (n + 1) // 2)  # beta_hats, packed triangles
-        count += 6 * nm  # bound vectors
+        count += 6 * nm  # box columns
         return count
-
-
-def problem_fingerprint(problem):
-    """SHA-256 digest of everything the offline data is computed from.
-
-    Hashes (n, m, N) and the little-endian float64 bytes of the model, its
-    bounds and tightening margins, the cost weights and the penalties, in a
-    fixed order, so offline data can be matched to the problem it was built
-    for.
-    """
-    model, costs, rho = problem.model, problem.costs, problem.rho
-    h = hashlib.sha256(np.array([problem.n, problem.m, problem.N], dtype="<u8").tobytes())
-    for arr in (
-        model.A, model.B, model.x_lb, model.x_ub, model.u_lb, model.u_ub,
-        model.eps_x, model.eps_u, costs.Q_diag, costs.R_diag, costs.T, costs.S,
-        rho.rho0, rho.rho_s, rho.rho_hat,
-    ):
-        h.update(np.ascontiguousarray(arr, dtype="<f8").tobytes())
-    return h.digest()
 
 
 def build_offline(problem, with_warmstart=True):
@@ -270,14 +241,13 @@ def build_offline(problem, with_warmstart=True):
     H3_inv = compute_h3_inverse(costs, rho)
     M2 = compute_m2(model, costs, rho)
     alphas, beta_hats = compute_banded_cholesky(model, H3_inv, N)
-    z_lb = np.concatenate([model.x_lb, model.u_lb])
-    z_ub = np.concatenate([model.x_ub, model.u_ub])
-    z_lb_s = np.concatenate([model.x_lb + model.eps_x, model.u_lb + model.eps_u])
-    z_ub_s = np.concatenate([model.x_ub - model.eps_x, model.u_ub - model.eps_u])
-    # The state part of stage 0 is free: it is pinned by the initial-state
-    # penalty, not by a box.
-    u_only_lb = np.concatenate([np.full(n, -np.inf), model.u_lb])
-    u_only_ub = np.concatenate([np.full(n, np.inf), model.u_ub])
+    lb, ub = np.concatenate([model.x_lb, model.u_lb]), np.concatenate([model.x_ub, model.u_ub])
+    eps = np.concatenate([model.eps_x, model.eps_u])
+    # Stage 0, stages 1 to N - 1, the tightened stage N. The state part of
+    # stage 0 is free: it is pinned by the initial-state penalty, not by a box.
+    free = np.arange(n + m) < n
+    box_lb = np.column_stack([np.where(free, -np.inf, lb), lb, lb + eps])
+    box_ub = np.column_stack([np.where(free, np.inf, ub), ub, ub - eps])
     bound = compute_rho_upper_bound(costs)
     rho_max = max(rho.rho0.max(), rho.rho_s.max(), rho.rho_hat.max())
     gain = compute_warmstart_gain(costs) if with_warmstart else None
@@ -290,14 +260,10 @@ def build_offline(problem, with_warmstart=True):
         M2=M2,
         alphas=alphas,
         beta_hats=beta_hats,
-        z_lb=z_lb,
-        z_ub=z_ub,
-        z_lb_s=z_lb_s,
-        z_ub_s=z_ub_s,
-        u_only_lb=u_only_lb,
-        u_only_ub=u_only_ub,
+        box_lb=box_lb,
+        box_ub=box_ub,
         rho_upper_bound=bound,
         rho_exceeds_bound=bool(rho_max >= bound),
-        fingerprint=problem_fingerprint(problem),
+        fingerprint=problem.fingerprint,
         warmstart=gain,
     )

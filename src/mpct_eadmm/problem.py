@@ -6,6 +6,7 @@ This module holds the plant description, the cost weights, the per-constraint
 penalty parameters and the validation logic that every other module relies on.
 """
 
+import hashlib
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -213,6 +214,7 @@ class ValidatedProblem:
     """Cross-checked bundle of model, costs, config and penalties.
 
     Downstream code assumes dimensional consistency of everything in here.
+    ``fingerprint`` (:func:`problem_fingerprint`) is taken once, here.
     """
 
     model: SystemModel
@@ -222,11 +224,32 @@ class ValidatedProblem:
     n: int = field(init=False)
     m: int = field(init=False)
     N: int = field(init=False)
+    fingerprint: bytes = field(init=False, repr=False)
 
     def __post_init__(self):
         self.n = self.model.n
         self.m = self.model.m
         self.N = self.config.N
+        self.fingerprint = problem_fingerprint(self)
+
+
+def problem_fingerprint(problem):
+    """SHA-256 digest of everything the offline data is computed from.
+
+    Hashes (n, m, N) and the little-endian float64 bytes of the model, its
+    bounds and tightening margins, the cost weights and the penalties, in a
+    fixed order, so offline data can be matched to the problem it was built
+    for; the solver settings, which it does not depend on, are not hashed.
+    """
+    model, costs, rho = problem.model, problem.costs, problem.rho
+    h = hashlib.sha256(np.array([problem.n, problem.m, problem.N], dtype="<u8").tobytes())
+    for arr in (
+        model.A, model.B, model.x_lb, model.x_ub, model.u_lb, model.u_ub,
+        model.eps_x, model.eps_u, costs.Q_diag, costs.R_diag, costs.T, costs.S,
+        rho.rho0, rho.rho_s, rho.rho_hat,
+    ):
+        h.update(np.ascontiguousarray(arr, dtype="<f8").tobytes())
+    return h.digest()
 
 
 def validate_problem(model, costs, config, rho):

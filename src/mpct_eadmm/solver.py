@@ -61,40 +61,37 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernel
-from .errors import DimensionMismatch, MissingWarmstartGain, NumericalBreakdown
+from .errors import DimensionMismatch, MissingWarmstartGain, NumericalBreakdown, ProblemMismatch
 
 
 class Scratch:
     """Buffers that the iterations write into; ``OfflineData.scratch``.
 
-    ``zsum`` is z2 + z3 broadcast over the columns, as the last
-    :func:`compute_residual` left it; the next :func:`solve_qp1` reads it.
-    ``gamma``, the equality residual in lambda's layout (see
-    :class:`SolverState`), is written by :func:`compute_residual` and read
-    by :func:`update_duals`. ``z2``/``z3`` are the previous iterates, which
+    The stages share it only within an iteration: ``gamma``, the equality
+    residual in lambda's layout (see :class:`SolverState`), from
+    :func:`compute_residual` to :func:`update_duals`; ``q3`` (shape of z3)
+    and ``rhs`` within :func:`solve_qp3`, the deviation subproblem's linear
+    term and the band solve's right-hand side in ``dpbtrs``'s layout (block
+    j in entries j*n to (j+1)*n - 1), which the solve overwrites with its
+    solution; and the spares ``z2``/``z3``, the previous iterates, which
     :func:`dual_residual` reads: each iteration copies the state's there
     before the stages overwrite them (the kernel trades pointers and copies
-    the last iterates back). The rest is work space reused across the
-    stages: ``q2`` the linear term of the reference subproblem, ``q3`` and
-    ``work`` (shape of z3) the deviation subproblem's, ``prod`` the
-    (n+m) x N products with [A B] and its transpose, ``rhs`` the band
-    solve's right-hand side in ``dpbtrs``'s layout (block j in entries j*n
-    to (j+1)*n - 1), which the solve overwrites with its solution, and
-    ``ts_r`` the solve's diag(T, S) r.
+    the last iterates back). ``q2``, ``work`` (shape of z3) and ``prod``
+    ((n+m) x N products with [A B] and its transpose) do not outlive the
+    kernel call that writes them, and ``ts_r`` is the solve's diag(T, S) r.
 
     A scratch holds no state between solves: :func:`eadmm_solve` writes
-    ``ts_r`` and ``zsum`` on entry, and the iterations write every other
-    buffer before they read it. gamma's padding is zero from construction
-    and no stage writes it; :func:`warmstart_predict`, which uses gamma as
-    temporary space, zeroes all of gamma after. So states solved on one
-    offline data, in any order, never see each other.
+    ``ts_r`` on entry, and the iterations write every other buffer before
+    they read it; :func:`solve_qp1` reads none. gamma's padding is zero
+    from construction and no stage writes it; :func:`warmstart_predict`,
+    which uses gamma as temporary space, zeroes all of gamma after. So
+    states solved on one offline data, in any order, never see each other.
     """
 
-    __slots__ = ("zsum", "gamma", "z2", "z3", "q2", "q3", "work", "prod", "rhs", "ts_r")
+    __slots__ = ("gamma", "z2", "z3", "q2", "q3", "work", "prod", "rhs", "ts_r")
 
     def __init__(self, n, m, N):
         nm = n + m
-        self.zsum = np.zeros((nm, N + 1))
         self.gamma = np.zeros((nm, N + 3))
         self.z2 = np.empty(nm)
         self.z3 = np.empty((nm, N + 1))
@@ -162,14 +159,14 @@ def solve_qp1(state, offline, rho, x):
     """Update the trajectory block: componentwise clip of the diagonal QP optimum.
 
     The negated linear term is assembled columnwise from the congruence
-    penalties (on the offline data's ``scratch.zsum``), the initial-state
-    penalty (first column) and the terminal penalties (last column), scaled
-    by the diagonal inverse Hessian and clipped against the per-stage boxes
-    into z1; no matrix products are involved.
+    penalties (on z2 + z3), the initial-state penalty (first column) and
+    the terminal penalties (last column), scaled by the diagonal inverse
+    Hessian and clipped against the offline data's three box columns into
+    z1; no matrix products and no scratch buffer are involved.
     """
     kernel.load().qp1(
-        state.z1, offline.scratch.zsum, state.lam, state.z2, x,
-        rho.columns, offline.H1_inv, offline.z1_lb, offline.z1_ub,
+        state.z1, state.z3, state.lam, state.z2, x,
+        rho.columns, offline.H1_inv, offline.box_lb, offline.box_ub,
     )
     return state.z1
 
@@ -221,11 +218,10 @@ def solve_qp3(state, offline, rho, AB):
 def compute_residual(state, offline, x):
     """Equality-constraint residual in column-block layout and its inf-norm.
 
-    The residual goes to ``scratch.gamma``, whose padding it leaves zero,
-    and z2 + z3 to ``scratch.zsum`` for the next :func:`solve_qp1`.
+    The residual goes to ``scratch.gamma``, whose padding it leaves zero.
     """
     sc = offline.scratch
-    res = kernel.load().residual(state.z1, sc.gamma, sc.zsum, state.z2, state.z3, x)
+    res = kernel.load().residual(state.z1, sc.gamma, state.z2, state.z3, x)
     return sc.gamma, res
 
 
@@ -267,7 +263,7 @@ def _stage_loop(state, offline, problem, x, r, eps, primal_only, max_iter):
 
     The stages are called through their module globals, so a tracer that
     replaces one at module level sees every call. A kernel ``solve`` of no
-    iteration first forms diag(T, S) r and zsum, as the kernel path does.
+    iteration first forms diag(T, S) r, as the kernel path does.
     Returns (status, primal residual, dual residual).
     """
     _kernel_loop(state, offline, problem, x, r, eps, primal_only, 0)
@@ -296,9 +292,9 @@ def solve_operands(state, offline, problem, x, r):
     """The arrays of the kernel's ``solve``, in its argument order."""
     sc, costs = offline.scratch, problem.costs
     return (
-        state.z1, state.z2, state.z3, state.lam, sc.gamma, sc.zsum, sc.z2, sc.z3, sc.q2,
-        sc.q3, sc.work, sc.prod, sc.rhs, sc.ts_r, x, r, costs.T, costs.S, problem.model.AB,
-        problem.rho.columns, offline.H1_inv, offline.z1_lb, offline.z1_ub, offline.M2,
+        state.z1, state.z2, state.z3, state.lam, sc.gamma, sc.z2, sc.z3, sc.q2, sc.q3,
+        sc.work, sc.prod, sc.rhs, sc.ts_r, x, r, costs.T, costs.S, problem.model.AB,
+        problem.rho.columns, offline.H1_inv, offline.box_lb, offline.box_ub, offline.M2,
         offline.H3_inv, offline.band,
     )
 
@@ -331,16 +327,20 @@ def eadmm_solve(offline, problem, x, r, initial=None):
 
     Returns ``initial``, or a new :func:`cold_start` state, with its outcome
     fields filled; non-convergence is reported through the ``converged``
-    flag, not an exception. Offline data, an initial state or vectors whose
-    dimensions do not match the problem raise :class:`DimensionMismatch`,
-    as do initial-state arrays that are not C-contiguous float64; a
+    flag, not an exception. Offline data whose fingerprint is another
+    problem's raises :class:`ProblemMismatch`; if its dimensions differ,
+    it, an initial state or vectors that do not fit the problem raise
+    :class:`DimensionMismatch`, as do initial-state arrays that are not
+    C-contiguous float64; a
     non-finite residual aborts with :class:`NumericalBreakdown` once the
     outcome is filled. If the compiled kernel has to be built and cannot
     be, the first solve raises :class:`KernelBuildFailure`.
     """
     n, m, N = problem.n, problem.m, problem.N
     nm = n + m
-    if (offline.n, offline.m, offline.N) != (n, m, N):
+    if offline.fingerprint != problem.fingerprint:
+        if (offline.n, offline.m, offline.N) == (n, m, N):
+            raise ProblemMismatch("offline data was built for another model, costs or rho")
         raise DimensionMismatch(
             f"offline data has (n, m, N) = {(offline.n, offline.m, offline.N)}, "
             f"the problem {(n, m, N)}"

@@ -8,8 +8,9 @@ import pytest
 
 from mpct_eadmm.artifact import MAGIC, load_offline, save_offline
 from mpct_eadmm.errors import ArtifactError
-from mpct_eadmm.offline import build_offline, problem_fingerprint
+from mpct_eadmm.offline import build_offline
 from mpct_eadmm.pendulum import pendulum_problem
+from mpct_eadmm.problem import problem_fingerprint
 from mpct_eadmm.solver import eadmm_solve
 
 
@@ -22,7 +23,7 @@ def assert_offline_equal(a, b):
         np.testing.assert_array_equal(x, y)
     for x, y in zip(a.beta_hats, b.beta_hats):
         np.testing.assert_array_equal(np.triu(x), np.triu(y))
-    for name in ("z_lb", "z_ub", "z_lb_s", "z_ub_s", "u_only_lb", "u_only_ub"):
+    for name in ("box_lb", "box_ub"):
         np.testing.assert_array_equal(getattr(a, name), getattr(b, name))
     assert a.rho_upper_bound == b.rho_upper_bound
     assert a.rho_exceeds_bound == b.rho_exceeds_bound
@@ -57,7 +58,7 @@ def test_derived_arrays_bit_identical_after_reload(tmp_path):
         path = tmp_path / f"derived{N}.mpct"
         save_offline(offline, path)
         loaded = load_offline(path)
-        for name in ("band", "z1_lb", "z1_ub"):
+        for name in ("band", "box_lb", "box_ub"):
             a, b = getattr(offline, name), getattr(loaded, name)
             assert a.shape == b.shape and a.tobytes() == b.tobytes(), (name, N)
 
@@ -77,7 +78,7 @@ def test_built_and_loaded_data_share_layouts_and_iterates(tmp_path, N):
     save_offline(loaded, again)
     assert again.read_bytes() == path.read_bytes()
     for data in (built, loaded):
-        for name in ("H1_inv", "H3_inv", "M2", "z1_lb", "z1_ub"):
+        for name in ("H1_inv", "H3_inv", "M2", "box_lb", "box_ub"):
             assert getattr(data, name).flags.c_contiguous, name
         assert data.band.flags.f_contiguous
     x, r = np.array([0.1, -0.2, 1.0]), np.zeros(problem.n + problem.m)

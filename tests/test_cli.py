@@ -273,6 +273,18 @@ def test_overflowing_weighted_reference_exit_code(tmp_path, capsys):
         assert "RuntimeWarning" not in captured.err + captured.out, command
 
 
+def test_overflowing_weighted_reference_flag_exit_code(config_path, capsys):
+    """The same reference given as --r is a config error naming --r, exit 1,
+    not a numerical breakdown, and prints no traceback."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = cli.main(["solve", "--config", config_path, "--r", "1e308,1e308,1e308,1e308"])
+    assert code == 1
+    captured = capsys.readouterr()
+    assert "config error: --r: " in captured.err
+    assert "Traceback" not in captured.err + captured.out
+
+
 @pytest.mark.parametrize("key, value", bad_numbers())
 def test_non_finite_or_fractional_numbers_exit_code(tmp_path, capsys, key, value):
     """A NaN, an infinity or a fractional count in a numeric setting is a

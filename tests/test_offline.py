@@ -332,3 +332,34 @@ def test_scalar_count_affine_in_horizon(problem):
     b = counts[5] - 5 * a
     for N, c in counts.items():
         assert c == a * N + b
+
+
+@pytest.mark.parametrize("N", [2, 12, 100])
+def test_boxes_are_the_three_stored_columns(N):
+    """box_lb and box_ub are C-ordered (n+m) x 3 at every horizon: stage 0
+    with unbounded state rows, stages 1 to N - 1, and the tightened stage N.
+    Spread over the stages they are the dense oracle's per-stage bounds."""
+    problem = pendulum_problem(N=N)
+    model, n = problem.model, problem.n
+    offline = build_offline(problem, with_warmstart=False)
+    free = np.full(n, np.inf)
+    want_lb = [
+        np.concatenate([-free, model.u_lb]),
+        np.concatenate([model.x_lb, model.u_lb]),
+        np.concatenate([model.x_lb + model.eps_x, model.u_lb + model.eps_u]),
+    ]
+    want_ub = [
+        np.concatenate([free, model.u_ub]),
+        np.concatenate([model.x_ub, model.u_ub]),
+        np.concatenate([model.x_ub - model.eps_x, model.u_ub - model.eps_u]),
+    ]
+    dp = dense.assemble_dense(
+        model, problem.costs, problem.rho, N, np.zeros(n), np.zeros(n + problem.m)
+    )
+    sides = ((offline.box_lb, want_lb, dp.z1_lb), (offline.box_ub, want_ub, dp.z1_ub))
+    for box, want, spread in sides:
+        assert box.shape == (n + problem.m, 3) and box.flags.c_contiguous
+        for col, column in enumerate(want):
+            assert box[:, col].tobytes() == column.tobytes(), col
+        stages = np.repeat(box, [1, N - 1, 1], axis=1)
+        assert stages.flatten(order="F").tobytes() == spread.tobytes()

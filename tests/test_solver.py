@@ -12,7 +12,12 @@ import pytest
 from scipy.linalg.lapack import dpbtrs
 
 from mpct_eadmm import dense, kernel, solver
-from mpct_eadmm.errors import DimensionMismatch, MissingWarmstartGain, NumericalBreakdown
+from mpct_eadmm.errors import (
+    DimensionMismatch,
+    MissingWarmstartGain,
+    NumericalBreakdown,
+    ProblemMismatch,
+)
 from mpct_eadmm.solver import (
     Scratch,
     SolverState,
@@ -28,7 +33,7 @@ from mpct_eadmm.solver import (
     warmstart_predict,
 )
 from mpct_eadmm.offline import build_offline, cholesky_band, factor_block_tridiagonal
-from mpct_eadmm.pendulum import PendulumParams, pendulum_problem, rk4_step
+from mpct_eadmm.pendulum import PendulumParams, SimConfig, closed_loop, pendulum_problem, rk4_step
 from mpct_eadmm.problem import (
     EXIT_TESTS,
     CostWeights,
@@ -46,7 +51,6 @@ def random_state(rng, problem, offline):
     state.z3 = rng.standard_normal(state.z3.shape)
     state.lam = rng.standard_normal(state.lam.shape)
     state.lam[problem.n :, 0] = 0.0
-    offline.scratch.zsum[:] = state.z2[:, None] + state.z3
     return state
 
 
@@ -106,10 +110,10 @@ def test_qp1_saturates_at_bounds(problem, offline):
     state = random_state(rng, problem, offline)
     state.lam *= 1e6  # push the unconstrained optimum far outside the boxes
     solve_qp1(state, offline, problem.rho, np.zeros(problem.n))
-    assert np.all(state.z1[:, 1:-1] >= offline.z_lb[:, None] - 0.0)
-    assert np.all(state.z1[:, 1:-1] <= offline.z_ub[:, None] + 0.0)
-    assert np.all(state.z1[:, -1] >= offline.z_lb_s)
-    assert np.all(state.z1[:, -1] <= offline.z_ub_s)
+    assert np.all(state.z1[:, 1:-1] >= offline.box_lb[:, 1:2] - 0.0)
+    assert np.all(state.z1[:, 1:-1] <= offline.box_ub[:, 1:2] + 0.0)
+    assert np.all(state.z1[:, -1] >= offline.box_lb[:, 2])
+    assert np.all(state.z1[:, -1] <= offline.box_ub[:, 2])
 
 
 def test_qp2_zero_inputs(problem, offline):
@@ -297,8 +301,8 @@ def test_eadmm_solve_converges_and_extracts(problem, offline):
     assert np.array_equal(result.u0, result.z1[problem.n :, 0])
     assert np.array_equal(result.xs_us, result.z2)
     # box feasibility of the returned trajectory block
-    assert np.all(result.z1[:, 1:-1] >= offline.z_lb[:, None])
-    assert np.all(result.z1[:, 1:-1] <= offline.z_ub[:, None])
+    assert np.all(result.z1[:, 1:-1] >= offline.box_lb[:, 1:2])
+    assert np.all(result.z1[:, 1:-1] <= offline.box_ub[:, 1:2])
 
 
 def test_eadmm_solve_returns_the_state_it_iterated(problem, offline):
@@ -354,6 +358,27 @@ def test_eadmm_solve_rejects_mismatched_offline_and_initial(problem, offline):
         eadmm_solve(short, problem, np.zeros(3), np.zeros(4))
     with pytest.raises(DimensionMismatch, match="initial"):
         eadmm_solve(offline, problem, np.zeros(3), np.zeros(4), initial=cold_start(3, 1, 5))
+
+
+def test_offline_data_of_another_problem_of_the_same_size_is_rejected(problem, offline):
+    """Offline data built for the benchmark problem, with a problem of the
+    same (n, m, N) whose base penalty is 2 instead of 20 or whose Q is 50 I
+    instead of 5 I: eadmm_solve and closed_loop raise ProblemMismatch, where
+    a solve would certify the wrong input. The exit test is not part of the
+    offline data, so a problem differing only there is accepted."""
+    x, r = np.array([0.0, 0.0, 1.0]), np.zeros(problem.n + problem.m)
+    other_q = replace(problem.costs, Q_diag=np.full(problem.n, 50.0))
+    others = (
+        pendulum_problem(rho_base=2.0),
+        validate_problem(problem.model, other_q, problem.config, problem.rho),
+    )
+    for other in others:
+        assert (other.n, other.m, other.N) == (problem.n, problem.m, problem.N)
+        with pytest.raises(ProblemMismatch, match="built for another"):
+            eadmm_solve(offline, other, x, r)
+        with pytest.raises(ProblemMismatch, match="built for another"):
+            closed_loop(other, offline, SimConfig(), x, r)
+    assert eadmm_solve(offline, with_config(problem, exit_test="primal"), x, r).converged
 
 
 def test_eadmm_solve_numerical_breakdown(problem, offline):
@@ -426,7 +451,9 @@ def reference_step(ref, offline, rho, x, ts_r, AB):
     v[:n, 0] += rho.rho0 * x
     v[:, N] += rho.rho_s * z2 + lam[:, N + 2]
     v *= offline.H1_inv
-    np.clip(v, offline.z1_lb, offline.z1_ub, out=ref.z1)
+    stages = [1, N - 1, 1]  # box columns: stage 0, stages 1 to N - 1, stage N
+    lb, ub = (np.repeat(box, stages, axis=1) for box in (offline.box_lb, offline.box_ub))
+    np.clip(v, lb, ub, out=ref.z1)
     # solve_qp2
     z1 = ref.z1
     q2 = np.sum(rho.rho_hat * (ref.z3 - z1), axis=1) + np.sum(lam[:, 1:], axis=1)
@@ -811,8 +838,8 @@ def test_stages_called_directly_follow_their_arguments(problem, offline):
     for rho, ab in ((problem.rho, AB), (other_rho, AB), (other_rho, 0.5 * AB)):
         fresh = cold_start(n, m, N)
         for state in (reused, fresh):
-            offline.scratch.zsum[:] = 0.5
             state.z2[:] = 0.25
+            state.z3[:] = 0.25  # z2 + z3 = 0.5
             state.lam[:] = 1.0
             solve_qp1(state, offline, rho, x)
             solve_qp3(state, offline, rho, ab)
@@ -985,6 +1012,64 @@ def test_iterates_stay_in_their_arrays(problem, offline, traced, monkeypatch):
     assert parities == {0, 1}
 
 
+def poison(scratch, n):
+    """Fills every buffer of ``scratch`` with NaN but gamma's structural
+    padding (column 0, rows n to nm - 1), which stays zero as Scratch says."""
+    for name in Scratch.__slots__:
+        getattr(scratch, name)[...] = np.nan
+    scratch.gamma[n:, 0] = 0.0
+
+
+def test_qp1_reads_nothing_from_the_scratch(problem):
+    """solve_qp1 forms z2 + z3 from the state: its bytes are the same
+    whatever an earlier stage left in the work space."""
+    clean, dirty = (build_offline(problem, with_warmstart=False) for _ in range(2))
+    rng = np.random.default_rng(71)
+    for _ in range(10):
+        state = random_state(rng, problem, clean)
+        twin = SolverState(*(a.copy() for a in (state.z1, state.z2, state.z3, state.lam)))
+        x = rng.standard_normal(problem.n)
+        poison(dirty.scratch, problem.n)
+        solve_qp1(state, clean, problem.rho, x)
+        solve_qp1(twin, dirty, problem.rho, x)
+        assert not np.isnan(state.z1).any()
+        assert twin.z1.tobytes() == state.z1.tobytes()
+
+
+@pytest.mark.parametrize("traced", [False, True])
+def test_solves_from_a_poisoned_scratch_give_a_clean_scratchs_bytes(problem, traced, monkeypatch):
+    """Cold and warm solves under both exit tests, on the kernel path and
+    through the stage functions, on offline data whose scratch is poisoned
+    before each solve: the iterates, gamma, residuals, counts and flags of
+    the same solves on offline data whose scratch is not."""
+    if traced:
+        for name in STAGES:
+            monkeypatch.setattr(solver, name, lambda *args, _fn=getattr(solver, name): _fn(*args))
+    x, x_next = np.array([0.1, -0.2, 1.0]), np.array([0.12, -0.25, 0.97])
+    r = np.array([0.0, 0.0, 0.5, 0.0])
+    runs = []
+    for dirty in (False, True):
+        offline, outputs = build_offline(problem), []
+
+        def solve(point, initial=None):
+            if dirty:
+                poison(offline.scratch, problem.n)
+            state = eadmm_solve(offline, target, point, r, initial)
+            outputs.append(
+                [iterate(state, offline, name).tobytes() for name in ITERATES]
+                + [state.iterations, state.converged, state.certified]
+                + [float_bytes(state.residual_inf), float_bytes(state.dual_residual)]
+            )
+            return state
+
+        for exit_test in EXIT_TESTS:
+            target = with_config(problem, exit_test=exit_test)
+            cold = solve(x)
+            solve(x_next, warmstart_predict(cold, offline, x, x_next))
+        runs.append(outputs)
+    assert runs[0] == runs[1]
+
+
 def test_warm_start_without_the_gain_is_a_typed_error(problem):
     """warmstart_predict on offline data built without the gain raises
     MissingWarmstartGain, not an AttributeError."""
@@ -1095,15 +1180,14 @@ def test_signed_zeros_on_a_zero_bound_clip_like_numpy(problem):
                     # z2 = -0.0 keeps each z2 + z3 the sign of z3; the
                     # initial-state dual enters with a minus, so +0.0 keeps it
                     state.z2[i], state.lam[i, 0] = -0.0, 0.0
-                    for j, sign in zip(columns, signs):
+                    for box, (j, sign) in enumerate(zip(columns, signs)):
                         v = -0.0 if sign else 0.0
                         state.z3[i, j], state.lam[i, j + 1] = v, v
-                        offline.z1_lb[i, j] = bound if side == "lb" else -np.inf
-                        offline.z1_ub[i, j] = bound if side == "ub" else np.inf
+                        offline.box_lb[i, box] = bound if side == "lb" else -np.inf
+                        offline.box_ub[i, box] = bound if side == "ub" else np.inf
                     if i < n:
                         x[i] = -0.0 if signs[0] else 0.0
                     state.lam[i, N + 2] = -0.0 if signs[2] else 0.0
-                offline.scratch.zsum[:] = state.z2[:, None] + state.z3
                 ref = copied(state, offline)
                 solve_qp1(state, offline, rho, x)
                 reference_step(ref, offline, rho, x, ts_r, AB)
@@ -1164,18 +1248,18 @@ def test_kernel_band_solve_matches_f2py_dpbtrs(N):
 # of the kernel's table. The argument order is the solver's.
 R, W = "read", "written"
 KERNEL_OPERANDS = {
-    "qp1": dict(z1=W, zsum=R, lam=R, z2=R, x=R, columns=R, H1_inv=R, z1_lb=R, z1_ub=R),
+    "qp1": dict(z1=W, z3=R, lam=R, z2=R, x=R, columns=R, H1_inv=R, z1_lb=R, z1_ub=R),
     "qp2": dict(z1=R, z2=W, z3=R, lam=R, columns=R, ts_r=R, M2=R, work=W, q2=W),
     "qp3_rhs": dict(
         z1=R, rhs=W, q3=W, work=W, prod=W, z2=R, lam=R, columns=R, H3_inv=R, AB=R
     ),
     "qp3_update": dict(q3=R, z3=W, rhs=R, prod=W, AB=R, H3_inv=R),
-    "residual": dict(z1=R, gamma=W, zsum=W, z2=R, z3=R, x=R),
+    "residual": dict(z1=R, gamma=W, z2=R, z3=R, x=R),
     "duals": dict(lam=W, columns=R, gamma=R),
     "dual_residual": dict(z3=R, z3_spare=R, z2=R, z2_spare=R, columns=R, work=W),
     "band_solve": dict(band=R, rhs=W),
     "solve": dict(
-        z1=W, z2=W, z3=W, lam=W, gamma=W, zsum=W, z2_spare=W, z3_spare=W, q2=W, q3=W, work=W,
+        z1=W, z2=W, z3=W, lam=W, gamma=W, z2_spare=W, z3_spare=W, q2=W, q3=W, work=W,
         prod=W, rhs=W, ts_r=W, x=R, r=R, T=R, S=R, AB=R, columns=R, H1_inv=R, z1_lb=R, z1_ub=R,
         M2=R, H3_inv=R, band=R,
     ),
@@ -1206,10 +1290,10 @@ def kernel_calls():
     def recorded(entry, args):
         known = dict(
             z1=state.z1, z2=state.z2, z3=state.z3, lam=state.lam, gamma=sc.gamma,
-            zsum=sc.zsum, z2_spare=sc.z2, z3_spare=sc.z3, q2=sc.q2, q3=sc.q3, work=sc.work,
+            z2_spare=sc.z2, z3_spare=sc.z3, q2=sc.q2, q3=sc.q3, work=sc.work,
             prod=sc.prod, rhs=sc.rhs, x=x, r=r, T=problem.costs.T, S=problem.costs.S, ts_r=ts_r,
-            AB=AB, columns=rho.columns, H1_inv=offline.H1_inv, z1_lb=offline.z1_lb, z1_ub=offline.z1_ub, M2=offline.M2,
-            H3_inv=offline.H3_inv, band=offline.band,
+            AB=AB, columns=rho.columns, H1_inv=offline.H1_inv, z1_lb=offline.box_lb,
+            z1_ub=offline.box_ub, M2=offline.M2, H3_inv=offline.H3_inv, band=offline.band,
         )
         names = {id(a): name for name, a in known.items()}
         if entry not in calls:  # copied before the call writes its outputs
